@@ -25,14 +25,12 @@ echo "== layer parity + golden byte-identity (GEMINI_JOBS=2) =="
 # counts.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test layer_parity
 
-echo "== fast-forward + batching + sharding parity (GEMINI_JOBS=2) =="
-# DESIGN.md §13 and §16: every registry scenario with fast-forward on
-# vs off AND with hit-run batching on vs off, the reused-VM chain, the
-# seed × workload sweep, the intra-cell sharded runner at jobs 1/2/4,
-# the fleet lifecycle grid, and a recorded-trace replay through both
-# batch settings — all must produce byte-identical RunResults. Pinned
-# to two workers so the shard pool genuinely runs concurrent shards in
-# CI.
+echo "== fast-forward + batching parity (GEMINI_JOBS=2) =="
+# DESIGN.md §13, §14 and §16: every registry scenario with fast-forward
+# on vs off AND with hit-run batching on vs off, the reused-VM chain,
+# the seed × workload sweep, a collocated pair, the fleet lifecycle
+# grid at jobs 1/2/4, and a recorded-trace replay through both batch
+# settings — all must produce byte-identical RunResults.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test ff_parity
 
 echo "== VM lifecycle churn properties (GEMINI_JOBS=2) =="
@@ -79,57 +77,38 @@ echo "== record/replay smoke (quick scale, GEMINI_JOBS=2) =="
 # filenames match the ignored *.jsonl pattern, so nothing leaks into
 # the tree.
 GEMINI_JOBS=2 "$BIN" record --workload Redis --scale quick --fragmented \
-    --trace trace_pr10_quick.jsonl --json record_pr10_quick.jsonl > /dev/null
-GEMINI_JOBS=2 "$BIN" replay --trace trace_pr10_quick.jsonl --system GEMINI \
-    --json replay_pr10_quick.jsonl > /dev/null 2> /dev/null
-cmp record_pr10_quick.jsonl replay_pr10_quick.jsonl
-rm -f trace_pr10_quick.jsonl record_pr10_quick.jsonl replay_pr10_quick.jsonl
+    --trace trace_quick.jsonl --json record_quick.jsonl > /dev/null
+GEMINI_JOBS=2 "$BIN" replay --trace trace_quick.jsonl --system GEMINI \
+    --json replay_quick.jsonl > /dev/null 2> /dev/null
+cmp record_quick.jsonl replay_quick.jsonl
+rm -f trace_quick.jsonl record_quick.jsonl replay_quick.jsonl
 echo "record/replay: replayed run byte-identical to the recorded one"
 
-echo "== bench report + perf gate (quick scale, BENCH_pr10_quick.json) =="
+echo "== bench report + perf gate (quick scale, BENCH_quick.json) =="
 # The full bench harness at quick scale: reference-cell speedup vs the
 # recorded pre-PR-4 baseline, per-cell fig3 timings with phase
-# breakdowns, the sharded reference leg, and a jobs sweep; then the
-# perf-regression gate against the previous run's report. Warn-only:
-# this demo container is single-threaded and noisy, so regressions are
-# reported, not fatal — on a quiet benchmarking host drop --warn-only
-# to make it a hard gate. The committed BENCH_pr*.json trajectory files
-# (demo scale) are artifacts and are left untouched; the gate diffs the
-# quick-scale report against its own previous self when one exists, and
-# otherwise against the committed BENCH_pr7.json (demo scale — the
-# absolute walls differ by design, so the first diff is informational).
-# The report now carries the schema-additive fleet section (VM count,
-# churn events, end-state FMFI); the diff matches cells by label, so
-# comparing against pre-fleet reports stays valid.
-if [ -f BENCH_pr10_quick.json ]; then
-    mv BENCH_pr10_quick.json BENCH_prev_quick.json
-    "$BIN" bench --scale quick --jobs 2 --json BENCH_pr10_quick.json \
-        --profile trace_pr10.json --compare BENCH_prev_quick.json --warn-only
-    rm -f BENCH_prev_quick.json
-elif [ -f BENCH_pr9_quick.json ]; then
-    "$BIN" bench --scale quick --jobs 2 --json BENCH_pr10_quick.json \
-        --profile trace_pr10.json --compare BENCH_pr9_quick.json --warn-only
-    rm -f BENCH_pr9_quick.json trace_pr9.json
-else
-    "$BIN" bench --scale quick --jobs 2 --json BENCH_pr10_quick.json \
-        --profile trace_pr10.json --compare BENCH_pr9.json --warn-only
+# breakdowns, and a jobs sweep; then the perf-regression gate against
+# the previous run's report when one exists (the first run has nothing
+# to compare against). Warn-only: wall-clock timings on shared hosts
+# are noisy, so regressions are reported, not fatal — on a quiet
+# benchmarking host drop --warn-only to make it a hard gate. The committed BENCH_pr*.json
+# trajectory files (demo scale) are artifacts and are left untouched.
+COMPARE=()
+if [ -f BENCH_quick.json ]; then
+    mv BENCH_quick.json BENCH_prev_quick.json
+    COMPARE=(--compare BENCH_prev_quick.json --warn-only)
 fi
-echo "bench report written to BENCH_pr10_quick.json"
+"$BIN" bench --scale quick --jobs 2 --json BENCH_quick.json \
+    --profile trace_quick.json "${COMPARE[@]}"
+rm -f BENCH_prev_quick.json
+echo "bench report written to BENCH_quick.json"
 
-# The committed demo-scale BENCH_pr10.json is regenerated out-of-band:
-#   gemini-sim bench --scale demo --jobs 2 --json BENCH_pr10.json \
-#       --compare BENCH_pr9.json --warn-only
-# On a quiet host, add --pr9-wall-ms <MS> with the reference-cell wall
-# of a same-host previous-PR rebuild (git worktree at that tip),
-# measured interleaved with the current binary in one window — see
-# DESIGN.md §13 on host drift.
-
-echo "== profile smoke check (trace_pr10.json) =="
+echo "== profile smoke check (trace_quick.json) =="
 # The Perfetto trace must exist, be non-empty, look like a
 # Chrome-trace-event document, and carry the batch counter tracks.
-test -s trace_pr10.json
-grep -q '"traceEvents"' trace_pr10.json
-grep -q '"tlb.batched_hits"' trace_pr10.json
-echo "trace written to trace_pr10.json ($(wc -c < trace_pr10.json) bytes)"
+test -s trace_quick.json
+grep -q '"traceEvents"' trace_quick.json
+grep -q '"tlb.batched_hits"' trace_quick.json
+echo "trace written to trace_quick.json ($(wc -c < trace_quick.json) bytes)"
 
 echo "CI gate passed."

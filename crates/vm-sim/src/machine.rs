@@ -139,6 +139,97 @@ pub struct FleetArrival<S> {
     pub gen: S,
 }
 
+/// Events per scheduler step under [`Cadence::EveryChunk`].
+const CHUNK: usize = 64;
+
+/// Events drawn from a resident's stream per refill.
+const PULL: usize = CHUNK * 16;
+
+/// How much of a VM's stream one scheduler step consumes before the VM
+/// is offered a daemon pass ([`Machine::drive`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cadence {
+    /// [`CHUNK`] events per step, stepped through
+    /// [`Machine::process_chunk`] (single runs).
+    EveryChunk,
+    /// One request — events up to and including its `EndRequest` — per
+    /// step, stepped event by event (collocated and fleet runs).
+    EveryRequest,
+}
+
+/// A VM the scheduler steps ([`Machine::drive`]). Its stream is drawn
+/// [`PULL`] events ahead so one profiler span covers a whole refill
+/// instead of every step; generation never observes machine state, so
+/// pulling ahead is invisible to the simulation.
+struct Resident<S> {
+    /// Arrival ordinal: the tie-break between equal clocks.
+    ordinal: u32,
+    vm: VmId,
+    /// Planned footprint of an admitted VM; `None` for a VM the caller
+    /// passed in (never destroyed by the scheduler).
+    footprint: Option<u64>,
+    gen: S,
+    /// Events drawn from `gen` but not yet stepped start at `pos`.
+    ahead: Vec<WorkloadEvent>,
+    pos: usize,
+    /// `gen` has returned `None`.
+    exhausted: bool,
+    ctx: RunCtx,
+    /// Cached [`Machine::next_daemon_wakeup`]; new residents start due.
+    wakeup: Cycles,
+}
+
+impl<S: EventStream> Resident<S> {
+    /// Takes one `cadence` step's events off the lookahead and returns
+    /// their range in `ahead`, plus true when the stream ended before
+    /// the unit completed: that step is the VM's last.
+    ///
+    /// Kept out of line: with the stream's generator inlined into the
+    /// scheduler loop, sequential-hits measured ~7% slower.
+    #[inline(never)]
+    fn pull(&mut self, cadence: Cadence, prof: &Profiler) -> (std::ops::Range<usize>, bool) {
+        loop {
+            let rest = &self.ahead[self.pos..];
+            let len = match cadence {
+                Cadence::EveryChunk => (rest.len() >= CHUNK).then_some(CHUNK),
+                Cadence::EveryRequest => rest
+                    .iter()
+                    .position(|ev| matches!(ev, WorkloadEvent::EndRequest { .. }))
+                    .map(|i| i + 1),
+            };
+            if len.is_some() || self.exhausted {
+                let unit = self.pos..self.pos + len.unwrap_or(rest.len());
+                self.pos = unit.end;
+                return (unit, len.is_none());
+            }
+            // Keep the incomplete tail and draw the next stretch behind it.
+            let _gen_span = prof.span(Phase::WorkloadGen);
+            self.ahead.drain(..self.pos);
+            self.pos = 0;
+            for _ in 0..PULL {
+                let Some(ev) = self.gen.next_event() else {
+                    self.exhausted = true;
+                    break;
+                };
+                self.ahead.push(ev);
+            }
+        }
+    }
+}
+
+/// What one [`Machine::drive`] call produced.
+#[derive(Default)]
+struct Driven {
+    /// Results of the VMs the caller passed in, in the order passed.
+    results: Vec<RunResult>,
+    /// Lifecycles of admitted VMs, in departure order.
+    departed: Vec<FleetVmRecord>,
+    /// One per admission plus one per departure.
+    churn_events: u64,
+    /// Most VMs resident at once after an admission.
+    peak_resident: usize,
+}
+
 /// Per-run foreground context (latency accumulation).
 struct RunCtx {
     latencies: LatencySamples,
@@ -259,25 +350,6 @@ impl Machine {
         &self.prof
     }
 
-    /// Re-points the machine (and every component it already built) at
-    /// `prof`. The sharded runner builds a machine on a worker thread
-    /// under a forked profiler, then hands it back to the coordinating
-    /// thread; the fork is merged and retired at the shard boundary, so
-    /// the run phase must record onto the coordinator's profiler — a
-    /// span on the retired fork would be silently dropped.
-    pub fn set_profiler(&mut self, prof: Profiler) {
-        self.host_policy.attach_profiler(prof.clone());
-        self.host.set_profiler(prof.clone());
-        if let Some(rt) = &mut self.runtime {
-            rt.set_profiler(prof.clone());
-        }
-        for vs in self.vms.values_mut() {
-            vs.policy.attach_profiler(prof.clone());
-            vs.guest.set_profiler(prof.clone());
-        }
-        self.prof = prof;
-    }
-
     /// Adds a VM and returns its id.
     ///
     /// Fails when the configured MMU geometry is invalid
@@ -381,8 +453,130 @@ impl Machine {
     /// [`gemini_workloads::WorkloadGen`] or a pre-generated
     /// [`gemini_workloads::PregenStream`]; generation is
     /// machine-state-independent, so both drive identical trajectories.
-    pub fn run<S: EventStream>(&mut self, vm: VmId, mut gen: S) -> Result<RunResult> {
-        let mut ctx = RunCtx {
+    /// Daemon passes fall due every 64 events and once more when the
+    /// stream ends.
+    pub fn run<S: EventStream>(&mut self, vm: VmId, gen: S) -> Result<RunResult> {
+        let mut driven = self.drive(Cadence::EveryChunk, vec![(vm, gen)], Vec::new(), 0)?;
+        Ok(driven.results.pop().expect("one result per passed VM"))
+    }
+
+    /// The single event driver behind [`Self::run`],
+    /// [`Self::run_collocated`] and [`Self::run_fleet`]: a virtual-time
+    /// scheduler over resident VMs (DESIGN.md §14).
+    ///
+    /// `passed` are VMs the caller created. They are resident from the
+    /// start, stay alive when their streams end, and are finished — in
+    /// the order passed — when the scheduler returns. `queue` is
+    /// admitted in order whenever the head's planned footprint fits
+    /// under `cap_frames` beside the admitted residents (head-of-line
+    /// blocking keeps admission a pure function of the queue; a VM that
+    /// does not even fit an empty host is admitted alone). An admitted
+    /// VM starts at the current virtual time and is destroyed through
+    /// [`Self::remove_vm`] — leak check included — as soon as its stream
+    /// ends, handing its capacity back to the queue.
+    ///
+    /// Each step advances the resident with the smallest (clock,
+    /// arrival ordinal) by one `cadence` unit, then offers it a daemon
+    /// pass. The pass runs when the VM's cached wakeup is due, or always
+    /// under `no_ff`; a skipped pass is provably a no-op
+    /// ([`Self::next_daemon_wakeup`]), so both modes are byte-identical.
+    /// New residents start due, and the cache is recomputed after every
+    /// pass.
+    fn drive<S: EventStream>(
+        &mut self,
+        cadence: Cadence,
+        passed: Vec<(VmId, S)>,
+        queue: Vec<FleetArrival<S>>,
+        cap_frames: u64,
+    ) -> Result<Driven> {
+        if let Some(&(vm, _)) = passed.iter().find(|(vm, _)| !self.vms.contains_key(vm)) {
+            return Err(SimError::UnknownVm(vm));
+        }
+        let mut live: Vec<Resident<S>> = (0u32..)
+            .zip(passed)
+            .map(|(ordinal, (vm, gen))| self.resident(ordinal, vm, None, gen))
+            .collect();
+        let mut pending: std::collections::VecDeque<FleetArrival<S>> = queue.into();
+        let mut parked = Vec::new();
+        let mut out = Driven::default();
+        let mut admitted_frames = 0u64;
+        // The clock of the VM that last made progress. Admitted VMs
+        // start here so they interleave with the residents instead of
+        // replaying the past.
+        let mut now = Cycles::ZERO;
+        // One span over the whole loop: per-step spans would cost more
+        // than the profiler's overhead budget. Refills, faults, daemon
+        // passes and VM setup/teardown record as nested spans.
+        let _access = self.prof.span(Phase::Access);
+        loop {
+            while let Some(head) = pending.front() {
+                if !live.is_empty() && admitted_frames + head.footprint_frames > cap_frames {
+                    break;
+                }
+                let a = pending.pop_front().expect("front was Some");
+                let vm = self.add_vm()?;
+                self.vms.get_mut(&vm).expect("just added").clock = now;
+                admitted_frames += a.footprint_frames;
+                out.churn_events += 1;
+                live.push(self.resident(a.index, vm, Some(a.footprint_frames), a.gen));
+                out.peak_resident = out.peak_resident.max(live.len());
+            }
+            let Some(idx) =
+                (0..live.len()).min_by_key(|&i| (self.vms[&live[i].vm].clock, live[i].ordinal))
+            else {
+                break;
+            };
+            let r = &mut live[idx];
+            let vm = r.vm;
+            let (unit, ended) = r.pull(cadence, &self.prof);
+            let events = &r.ahead[unit];
+            if cadence == Cadence::EveryChunk && !self.cfg.no_ff {
+                self.process_chunk(vm, events, &mut r.ctx)?;
+            } else {
+                for &ev in events {
+                    self.process_event(vm, ev, &mut r.ctx)?;
+                }
+            }
+            if self.cfg.no_ff || self.vms[&vm].clock >= r.wakeup {
+                self.run_daemons(vm)?;
+                r.wakeup = self.next_daemon_wakeup(vm);
+            }
+            now = self.vms[&vm].clock;
+            if !ended {
+                continue;
+            }
+            let r = live.remove(idx);
+            let name = r.gen.spec().name.to_string();
+            let Some(footprint) = r.footprint else {
+                parked.push((r.ordinal, vm, name, r.ctx));
+                continue;
+            };
+            let result = self.finish(vm, name, r.ctx)?;
+            let frames_reclaimed = self.remove_vm(vm)?;
+            admitted_frames -= footprint;
+            out.churn_events += 1;
+            out.departed.push(FleetVmRecord {
+                index: r.ordinal,
+                result,
+                frames_reclaimed,
+            });
+        }
+        parked.sort_unstable_by_key(|p| p.0);
+        for (_, vm, name, ctx) in parked {
+            out.results.push(self.finish(vm, name, ctx)?);
+        }
+        Ok(out)
+    }
+
+    /// Makes `vm` a scheduler resident whose run starts now.
+    fn resident<S: EventStream>(
+        &self,
+        ordinal: u32,
+        vm: VmId,
+        footprint: Option<u64>,
+        gen: S,
+    ) -> Resident<S> {
+        let ctx = RunCtx {
             latencies: LatencySamples::new(),
             req_acc: Cycles::ZERO,
             track_latency: gen.spec().latency_tracked,
@@ -390,89 +584,17 @@ impl Machine {
             clock_at_start: self.vm_clock(vm),
             ops: 0,
         };
-        let workload = gen.spec().name.to_string();
-        // Events are pulled in batches of 64 so the WorkloadGen /
-        // Access span pair amortizes over a whole batch instead of
-        // costing two clock reads per event. The generator stream is
-        // independent of machine state, so prefetching is invisible;
-        // the daemon cadence (one pass per 64 processed events, plus a
-        // final pass) is exactly the pre-batching behaviour.
-        const DAEMON_EVERY: usize = 64;
-        if self.cfg.no_ff {
-            // Faithful stepping: one batch per span pair, one daemon
-            // pass per full batch, every event through the slow path.
-            let mut batch: Vec<WorkloadEvent> = Vec::with_capacity(DAEMON_EVERY);
-            loop {
-                {
-                    let _gen_span = self.prof.span(Phase::WorkloadGen);
-                    while batch.len() < DAEMON_EVERY {
-                        match gen.next_event() {
-                            Some(ev) => batch.push(ev),
-                            None => break,
-                        }
-                    }
-                }
-                if batch.is_empty() {
-                    break;
-                }
-                let full = batch.len() == DAEMON_EVERY;
-                {
-                    let _access = self.prof.span(Phase::Access);
-                    for ev in batch.drain(..) {
-                        self.process_event(vm, ev, &mut ctx)?;
-                    }
-                }
-                if full {
-                    self.run_daemons(vm)?;
-                }
-            }
-        } else {
-            // Fast-forward: a daemon pass before the earliest period
-            // deadline is a provable no-op — every piece of background
-            // work sits behind a `now >= next_*` guard, the Gemini
-            // runtime exposes its own next deadline, and the sampler's
-            // next-due cycle is `u64::MAX` when sampling is off.
-            // `next_wakeup` caches that minimum so quiescent stretches
-            // skip the pass (and its telemetry gather) entirely; the
-            // pass that eventually runs sees exactly the state the
-            // faithful schedule would have produced, at the same
-            // virtual time. Daemon-pass *eligibility* still falls on
-            // the same 64-event boundaries as the faithful loop, so a
-            // due pass runs at the identical point in the event stream;
-            // events are merely pulled (and spans opened) in larger
-            // strides to amortize the per-batch overhead.
-            const PULL: usize = DAEMON_EVERY * 16;
-            let mut buf: Vec<WorkloadEvent> = Vec::with_capacity(PULL);
-            let mut next_wakeup = Cycles::ZERO;
-            loop {
-                {
-                    let _gen_span = self.prof.span(Phase::WorkloadGen);
-                    while buf.len() < PULL {
-                        match gen.next_event() {
-                            Some(ev) => buf.push(ev),
-                            None => break,
-                        }
-                    }
-                }
-                if buf.is_empty() {
-                    break;
-                }
-                let _access = self.prof.span(Phase::Access);
-                let mut start = 0;
-                while start < buf.len() {
-                    let end = (start + DAEMON_EVERY).min(buf.len());
-                    self.process_chunk(vm, &buf[start..end], &mut ctx)?;
-                    if end - start == DAEMON_EVERY && self.vms[&vm].clock >= next_wakeup {
-                        self.run_daemons(vm)?;
-                        next_wakeup = self.next_daemon_wakeup(vm);
-                    }
-                    start = end;
-                }
-                buf.clear();
-            }
+        Resident {
+            ordinal,
+            vm,
+            footprint,
+            gen,
+            ahead: Vec::with_capacity(PULL),
+            pos: 0,
+            exhausted: false,
+            ctx,
+            wakeup: Cycles::ZERO,
         }
-        self.run_daemons(vm)?;
-        self.finish(vm, workload, ctx)
     }
 
     /// The earliest future cycle at which [`Self::run_daemons`] has due
@@ -650,182 +772,43 @@ impl Machine {
     }
 
     /// Runs several workloads concurrently, one per VM, interleaved by
-    /// virtual time (the collocation experiments, Figures 17–18).
+    /// virtual time (the collocation experiments, Figures 17–18). Daemon
+    /// passes fall due after every request; results come back in the
+    /// order the runs were passed.
     pub fn run_collocated<S: EventStream>(
         &mut self,
-        mut runs: Vec<(VmId, S)>,
+        runs: Vec<(VmId, S)>,
     ) -> Result<Vec<RunResult>> {
-        let mut ctxs: Vec<RunCtx> = runs
-            .iter()
-            .map(|(vm, gen)| RunCtx {
-                latencies: LatencySamples::new(),
-                req_acc: Cycles::ZERO,
-                track_latency: gen.spec().latency_tracked,
-                counters_at_start: self.counters(*vm),
-                clock_at_start: self.vm_clock(*vm),
-                ops: 0,
-            })
-            .collect();
-        let mut finished = vec![false; runs.len()];
-        while finished.iter().any(|f| !f) {
-            // Advance the unfinished VM with the smallest clock by one op.
-            let idx = runs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !finished[*i])
-                .min_by_key(|(_, (vm, _))| self.vms[vm].clock)
-                .map(|(i, _)| i)
-                .expect("some run unfinished");
-            let (vm, gen) = &mut runs[idx];
-            let vm = *vm;
-            loop {
-                match gen.next_event() {
-                    None => {
-                        finished[idx] = true;
-                        break;
-                    }
-                    Some(ev) => {
-                        let is_end = matches!(ev, WorkloadEvent::EndRequest { .. });
-                        self.process_event(vm, ev, &mut ctxs[idx])?;
-                        if is_end {
-                            break;
-                        }
-                    }
-                }
-            }
-            self.run_daemons(vm)?;
-        }
-        let mut results = Vec::new();
-        for ((vm, gen), ctx) in runs.into_iter().zip(ctxs) {
-            let name = gen.spec().name.to_string();
-            results.push(self.finish(vm, name, ctx)?);
-        }
-        Ok(results)
+        Ok(self
+            .drive(Cadence::EveryRequest, runs, Vec::new(), 0)?
+            .results)
     }
 
     /// Drives this host through a whole fleet arrival/departure process.
     ///
     /// `arrivals` is the host's planned admission queue, in arrival
-    /// order. The head of the queue is admitted whenever its planned
-    /// footprint fits under `resident_cap_frames` alongside the VMs
-    /// already resident (head-of-line blocking keeps admission a pure
-    /// function of the queue, independent of map iteration order); a VM
-    /// that does not even fit an empty host is admitted alone. Resident
-    /// VMs interleave by virtual time exactly like
-    /// [`Self::run_collocated`]; when a VM's event stream ends it is
-    /// finished and destroyed through [`Self::remove_vm`] — leak check
-    /// included — and its capacity is handed to the queue.
-    ///
-    /// Background daemons keep the fast-forward contract: each resident
-    /// VM caches its next daemon wakeup, the cache is recomputed after
-    /// every pass, and membership changes reset it (new VMs start due).
-    /// Under `no_ff` a pass runs after every request; both modes are
-    /// byte-identical because skipped passes are provably no-ops.
+    /// order. The head is admitted whenever its planned footprint fits
+    /// under `resident_cap_frames` beside the VMs already resident (a VM
+    /// too big for an empty host is admitted alone); residents
+    /// interleave by virtual time, ties broken on the arrival index; a
+    /// VM whose event stream ends is finished and destroyed through
+    /// [`Self::remove_vm`], leak check included. Daemon passes fall due
+    /// after every request (DESIGN.md §14).
     pub fn run_fleet<S: EventStream>(
         &mut self,
         arrivals: Vec<FleetArrival<S>>,
         resident_cap_frames: u64,
     ) -> Result<FleetOutcome> {
-        struct Live<S> {
-            index: u32,
-            vm: VmId,
-            footprint: u64,
-            gen: S,
-            ctx: RunCtx,
-            wakeup: Cycles,
-        }
-        let mut pending: std::collections::VecDeque<FleetArrival<S>> = arrivals.into();
-        let mut live: Vec<Live<S>> = Vec::new();
-        let mut resident_frames = 0u64;
-        let mut vms = Vec::new();
-        let mut churn_events = 0u64;
-        let mut peak_resident = 0usize;
-        // The fleet's notion of "now": the clock of the VM that last
-        // made progress. Newly admitted VMs start here so they
-        // interleave with the residents instead of replaying the past.
-        let mut fleet_now = Cycles::ZERO;
-        loop {
-            while let Some(head) = pending.front() {
-                if !live.is_empty() && resident_frames + head.footprint_frames > resident_cap_frames
-                {
-                    break;
-                }
-                let a = pending.pop_front().expect("front was Some");
-                let vm = self.add_vm()?;
-                let vs = self.vms.get_mut(&vm).expect("just added");
-                vs.clock = fleet_now;
-                resident_frames += a.footprint_frames;
-                churn_events += 1;
-                let ctx = RunCtx {
-                    latencies: LatencySamples::new(),
-                    req_acc: Cycles::ZERO,
-                    track_latency: a.gen.spec().latency_tracked,
-                    counters_at_start: self.counters(vm),
-                    clock_at_start: fleet_now,
-                    ops: 0,
-                };
-                live.push(Live {
-                    index: a.index,
-                    vm,
-                    footprint: a.footprint_frames,
-                    gen: a.gen,
-                    ctx,
-                    wakeup: Cycles::ZERO,
-                });
-                peak_resident = peak_resident.max(live.len());
-            }
-            if live.is_empty() {
-                break;
-            }
-            // Advance the resident VM with the smallest clock by one
-            // request (ties break on arrival order).
-            let idx = live
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| (self.vms[&l.vm].clock, l.index))
-                .map(|(i, _)| i)
-                .expect("live not empty");
-            let l = &mut live[idx];
-            let vm = l.vm;
-            let mut done = false;
-            loop {
-                match l.gen.next_event() {
-                    None => {
-                        done = true;
-                        break;
-                    }
-                    Some(ev) => {
-                        let is_end = matches!(ev, WorkloadEvent::EndRequest { .. });
-                        self.process_event(vm, ev, &mut l.ctx)?;
-                        if is_end {
-                            break;
-                        }
-                    }
-                }
-            }
-            if self.cfg.no_ff || self.vms[&vm].clock >= live[idx].wakeup {
-                self.run_daemons(vm)?;
-                live[idx].wakeup = self.next_daemon_wakeup(vm);
-            }
-            fleet_now = self.vms[&vm].clock;
-            if done {
-                let l = live.remove(idx);
-                let name = l.gen.spec().name.to_string();
-                let result = self.finish(l.vm, name, l.ctx)?;
-                let frames_reclaimed = self.remove_vm(l.vm)?;
-                resident_frames -= l.footprint;
-                churn_events += 1;
-                vms.push(FleetVmRecord {
-                    index: l.index,
-                    result,
-                    frames_reclaimed,
-                });
-            }
-        }
+        let driven = self.drive(
+            Cadence::EveryRequest,
+            Vec::new(),
+            arrivals,
+            resident_cap_frames,
+        )?;
         Ok(FleetOutcome {
-            vms,
-            churn_events,
-            peak_resident,
+            vms: driven.departed,
+            churn_events: driven.churn_events,
+            peak_resident: driven.peak_resident,
             end_host_fmfi: self.host.fragmentation_index(),
             end_free_order9: self.host.buddy.free_blocks_of_order(HUGE_PAGE_ORDER) as u64,
         })
@@ -1443,6 +1426,19 @@ mod tests {
         }
     }
 
+    /// Host 0's admission queue of `plan`, with live generators.
+    fn fleet_arrivals(plan: &gemini_workloads::FleetPlan) -> Vec<FleetArrival<WorkloadGen>> {
+        plan.hosts[0]
+            .vms
+            .iter()
+            .map(|v| FleetArrival {
+                index: v.index,
+                footprint_frames: v.footprint_frames,
+                gen: WorkloadGen::new(v.spec.clone(), v.ops, v.seed),
+            })
+            .collect()
+    }
+
     #[test]
     fn fleet_drains_leak_free_and_matches_no_ff() {
         use gemini_workloads::{FleetPlan, FleetSpec};
@@ -1462,16 +1458,9 @@ mod tests {
                 ..small_cfg()
             };
             let mut m = Machine::new(SystemKind::Gemini, cfg);
-            let arrivals: Vec<FleetArrival<WorkloadGen>> = plan.hosts[0]
-                .vms
-                .iter()
-                .map(|v| FleetArrival {
-                    index: v.index,
-                    footprint_frames: v.footprint_frames,
-                    gen: WorkloadGen::new(v.spec.clone(), v.ops, v.seed),
-                })
-                .collect();
-            let out = m.run_fleet(arrivals, plan.resident_cap_frames).unwrap();
+            let out = m
+                .run_fleet(fleet_arrivals(&plan), plan.resident_cap_frames)
+                .unwrap();
             // The fleet drained: every VM departed, the host is empty
             // and pristine (the per-departure leak checks all passed to
             // get here; this is the end-to-end restatement).
@@ -1560,16 +1549,8 @@ mod tests {
                 ..small_cfg()
             };
             let mut m = Machine::new(SystemKind::Gemini, cfg);
-            let arrivals: Vec<FleetArrival<WorkloadGen>> = plan.hosts[0]
-                .vms
-                .iter()
-                .map(|v| FleetArrival {
-                    index: v.index,
-                    footprint_frames: v.footprint_frames,
-                    gen: WorkloadGen::new(v.spec.clone(), v.ops, v.seed),
-                })
-                .collect();
-            m.run_fleet(arrivals, plan.resident_cap_frames).unwrap()
+            m.run_fleet(fleet_arrivals(&plan), plan.resident_cap_frames)
+                .unwrap()
         };
         let batched = run(false);
         let faithful = run(true);

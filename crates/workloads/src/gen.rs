@@ -50,9 +50,8 @@ pub enum WorkloadEvent {
 /// ([`PregenStream`]). Generation is a pure function of
 /// `(spec, ops, seed)` — it never observes machine state — so the two
 /// forms drive a machine through byte-identical trajectories; the
-/// pre-generated form exists so a large cell can build its machine on
-/// one worker thread while another generates the stream (intra-cell
-/// sharding, DESIGN.md §13).
+/// pre-generated form lets a caller time generation apart from
+/// simulation.
 pub trait EventStream {
     /// The workload model the stream realizes.
     fn spec(&self) -> &WorkloadSpec;
@@ -212,8 +211,7 @@ impl WorkloadGen {
     ///
     /// Generation never reads machine state, so replaying the returned
     /// stream drives a machine through exactly the trajectory the live
-    /// generator would have — this is what lets one worker generate
-    /// events while another builds the machine (intra-cell sharding).
+    /// generator would have.
     pub fn pregenerate(mut self) -> PregenStream {
         // One op is `accesses_per_op` touches plus occasional alloc/free
         // traffic; reserve for the touches and let the rest amortize.

@@ -1,4 +1,4 @@
-//! Fast-path parity suite (DESIGN.md §13 and §16).
+//! Fast-path parity suite (DESIGN.md §13, §14 and §16).
 //!
 //! The fast-forward core elides daemon passes that are provably no-ops
 //! (every deadline in [`next_daemon_wakeup`] lies in the future) and
@@ -15,10 +15,9 @@
 //! [`next_daemon_wakeup`]: ../crates/vm-sim/src/machine.rs
 
 use gemini_harness::runner::{
-    record_workload_on, replay_trace_on, run_workload_on, run_workload_reused, run_workload_sharded,
+    record_workload_on, replay_trace_on, run_workload_on, run_workload_reused,
 };
 use gemini_harness::{trace, Scale};
-use gemini_obs::{Profiler, Recorder, TraceConfig};
 use gemini_vm_sim::{RunResult, SystemKind, REGISTRY};
 use gemini_workloads::spec_by_name;
 
@@ -96,55 +95,26 @@ fn reused_vm_scenario_matches_faithful() {
 }
 
 #[test]
-fn sharded_runner_matches_plain_at_every_jobs_setting() {
-    // Intra-cell sharding overlaps machine construction with workload
-    // pre-generation on a worker pool; neither the pool size nor the
-    // pre-generation may leak into simulated state. Fragmented cells
-    // make construction genuinely expensive (buddy pre-conditioning),
-    // so the shards really do run concurrently at jobs >= 2.
-    let spec = spec_by_name("Canneal").expect("Canneal is in the catalog");
-    for (system, sspec) in REGISTRY.iter().filter(|(_, s)| s.evaluated) {
-        let plain = run_workload_on(*system, &spec, &parity_scale(false), true, 7).unwrap();
-        for jobs in [1usize, 2, 4] {
-            let scale = Scale {
-                jobs,
-                ..parity_scale(false)
-            };
-            let sharded = run_workload_sharded(
-                *system,
-                &spec,
-                &scale,
-                true,
-                7,
-                &Recorder::off(),
-                &Profiler::off(),
-            )
-            .unwrap();
-            assert_identical(&format!("{}/jobs{jobs}", sspec.label), &sharded, &plain);
+fn collocated_pair_matches_faithful_and_no_batch() {
+    // Two VMs interleaved by virtual time on one host, daemon passes due
+    // after every request: the fast-forward gate may skip passes, but
+    // both VMs' whole results must match the faithful schedule and the
+    // --no-batch leg.
+    use gemini_harness::experiments::collocated;
+    let pair = [("Redis", "SP.D")];
+    let fast = collocated::run(&parity_scale(false), Some(&pair)).unwrap();
+    for (leg, scale) in [
+        ("no_ff", parity_scale(true)),
+        ("no_batch", batch_scale(true)),
+    ] {
+        let other = collocated::run(&scale, Some(&pair)).unwrap();
+        let pairs = fast.runs[0].iter().zip(&other.runs[0]);
+        for (sspec, (a, b)) in SystemKind::evaluated().iter().zip(pairs) {
+            for (vm, (x, y)) in a.iter().zip(b).enumerate() {
+                assert_identical(&format!("{}/vm{vm}/{leg}", sspec.label()), x, y);
+            }
         }
     }
-}
-
-#[test]
-fn sharded_runner_reports_shard_progress() {
-    let spec = spec_by_name("Redis").expect("Redis is in the catalog");
-    let rec = Recorder::new(&TraceConfig::all());
-    let scale = Scale {
-        jobs: 2,
-        ..parity_scale(false)
-    };
-    run_workload_sharded(
-        SystemKind::Gemini,
-        &spec,
-        &scale,
-        false,
-        5,
-        &rec,
-        &Profiler::off(),
-    )
-    .unwrap();
-    assert_eq!(rec.registry().counter("exec.shards_submitted"), 2);
-    assert_eq!(rec.registry().counter("exec.shards_finished"), 2);
 }
 
 #[test]

@@ -5,16 +5,18 @@
 //! 1. **Golden byte-identity** — the fig. 3 (motivation) and fig. 8
 //!    (clean-slate) grids render their tables and JSON exports exactly as
 //!    they did before `GuestMm`/`HostMm` were rebuilt on `LayerEngine`,
-//!    at `jobs = 1` and `jobs = N` alike. The goldens under
-//!    `tests/golden/` were captured from the pre-refactor tree; regenerate
-//!    deliberately with `GEMINI_BLESS=1` after an *intentional* behaviour
-//!    change.
+//!    at `jobs = 1` and `jobs = N` alike, and the fig. 17/18 collocated
+//!    pair renders exactly as it did before the three `Machine` driver
+//!    loops became one scheduler (DESIGN.md §14). The goldens under
+//!    `tests/golden/` were captured from the pre-refactor trees;
+//!    regenerate deliberately with `GEMINI_BLESS=1` after an
+//!    *intentional* behaviour change.
 //! 2. **Layer parity** — the same `HugePolicy` driven through the guest
 //!    and host instantiations of `LayerEngine` on one DetRng-generated
 //!    fault/touch trace produces identical effects, promotion counts and
 //!    fragmentation indices (the two layers are one mechanism).
 
-use gemini_harness::experiments::{clean_slate, motivation};
+use gemini_harness::experiments::{clean_slate, collocated, motivation};
 use gemini_harness::{trace, Scale};
 
 /// Worker-thread count for the `jobs = N` leg (`GEMINI_JOBS`, default 4).
@@ -58,6 +60,29 @@ fn clean_slate_artifacts(jobs: usize) -> (String, String) {
         .flatten()
         .flatten()
         .map(trace::result_json)
+        .collect();
+    (text, json.join("\n") + "\n")
+}
+
+/// Renders the collocated (figs. 17–18) tables for one pair, plus every
+/// `RunResult` in full: the tables are ratios, so they alone would hide
+/// a drifted counter or fragmentation index. Each JSON line carries the
+/// export row and the complete debug rendering of the result.
+fn collocated_artifacts(jobs: usize) -> (String, String) {
+    let res = collocated::run(&golden_scale(jobs), Some(&[("Redis", "SP.D")]))
+        .expect("collocated pair runs");
+    let mut text = res.render_fig17();
+    text.push_str(&res.render_fig18());
+    let json: Vec<String> = res
+        .runs
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|r| {
+            let row = trace::result_json(r);
+            let full = gemini_obs::json_str(&format!("{r:?}"));
+            format!("{},\"full\":{full}}}", &row[..row.len() - 1])
+        })
         .collect();
     (text, json.join("\n") + "\n")
 }
@@ -214,6 +239,15 @@ fn fig3_grid_is_byte_identical_to_prerefactor_golden() {
         let (text, json) = motivation_artifacts(jobs);
         assert_golden("fig03_motivation.txt", &text);
         assert_golden("fig03_motivation.jsonl", &json);
+    }
+}
+
+#[test]
+fn collocated_pair_is_byte_identical_to_single_driver_golden() {
+    for jobs in [1, jobs_n()] {
+        let (text, json) = collocated_artifacts(jobs);
+        assert_golden("collocated.txt", &text);
+        assert_golden("collocated.jsonl", &json);
     }
 }
 

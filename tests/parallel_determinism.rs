@@ -111,8 +111,6 @@ fn bench_report_schema_is_pinned() {
         available_parallelism: 8,
         reference_wall_ms: 500.0,
         reference_ops_per_sec: 15338.0,
-        reference_sharded_wall_ms: 450.0,
-        sharded_jobs: 2,
         pr6_same_host_wall_ms: Some(1000.0),
         pr9_same_host_wall_ms: Some(750.0),
         reference_batched: BatchedRefSection {
@@ -180,8 +178,6 @@ fn bench_report_schema_is_pinned() {
     "current_wall_ms": 500,
     "current_ops_per_sec": 15338,
     "speedup_vs_baseline": 2,
-    "sharded_wall_ms": 450,
-    "sharded_jobs": 2,
     "pr6_same_host_wall_ms": 1000,
     "speedup_vs_pr6_same_host": 2,
     "pr9_same_host_wall_ms": 750,
@@ -273,6 +269,22 @@ fn unknown_vm_is_an_error_not_a_panic() {
         m.clear_workload(bogus),
         Err(gemini_sim_core::SimError::UnknownVm(_))
     ));
-    // The registered VM still resolves.
+    // The drivers validate every VM they are handed before touching
+    // any state.
+    let redis = gemini_workloads::spec_by_name("Redis")
+        .expect("Redis workload registered")
+        .scaled(1.0 / 32.0);
+    let gen = |seed| gemini_workloads::WorkloadGen::new(redis.clone(), 50, seed);
+    assert!(matches!(
+        m.run(bogus, gen(1)),
+        Err(gemini_sim_core::SimError::UnknownVm(v)) if v == bogus
+    ));
+    assert!(matches!(
+        m.run_collocated(vec![(vm, gen(2)), (bogus, gen(3))]),
+        Err(gemini_sim_core::SimError::UnknownVm(v)) if v == bogus
+    ));
+    assert_eq!(m.vm_clock(vm), gemini_sim_core::Cycles::ZERO, "no step ran");
+    // The registered VM still resolves and runs.
     assert!(m.ept(vm).is_ok());
+    assert_eq!(m.run(vm, gen(4)).unwrap().ops, 50);
 }
