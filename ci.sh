@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Repo CI gate: formatting, lints (warnings are errors), full test suite.
-# Runs fully offline; the bench crate is a standalone workspace and is
-# covered only when its registry dependencies are available.
+# Repo CI gate: formatting, lints (warnings are errors), full test suite,
+# the benchmark's contract tests and CLI smoke runs. Runs fully offline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -43,18 +42,8 @@ GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test fleet_lifecycle
 echo "== cargo doc (workspace, no-deps, -D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 
-echo "== demo-scale timing (bench trajectory) =="
-# Wall-clock of one demo-scale compare per jobs count. Parse the
-# "timing:" lines into BENCH_*.json to track the executor's speedup.
 BIN=target/release/gemini-sim
 cargo build --release --offline -q -p gemini-harness --bin gemini-sim
-for jobs in 1 0; do
-    start=$(date +%s%N)
-    "$BIN" compare --workload Redis --scale demo --fragmented --jobs "$jobs" \
-        > /dev/null
-    end=$(date +%s%N)
-    echo "timing: demo compare jobs=$jobs wall_ms=$(( (end - start) / 1000000 ))"
-done
 
 echo "== end-to-end fast-path parity (gemini-sim parity, GEMINI_JOBS=2) =="
 # The CLI parity mode runs the default (fast-forward + batching),
@@ -84,24 +73,15 @@ cmp record_quick.jsonl replay_quick.jsonl
 rm -f trace_quick.jsonl record_quick.jsonl replay_quick.jsonl
 echo "record/replay: replayed run byte-identical to the recorded one"
 
-echo "== bench report + perf gate (quick scale, BENCH_quick.json) =="
-# The full bench harness at quick scale: reference-cell speedup vs the
-# recorded pre-PR-4 baseline, per-cell fig3 timings with phase
-# breakdowns, and a jobs sweep; then the perf-regression gate against
-# the previous run's report when one exists (the first run has nothing
-# to compare against). Warn-only: wall-clock timings on shared hosts
-# are noisy, so regressions are reported, not fatal — on a quiet
-# benchmarking host drop --warn-only to make it a hard gate. The committed BENCH_pr*.json
-# trajectory files (demo scale) are artifacts and are left untouched.
-COMPARE=()
-if [ -f BENCH_quick.json ]; then
-    mv BENCH_quick.json BENCH_prev_quick.json
-    COMPARE=(--compare BENCH_prev_quick.json --warn-only)
-fi
-"$BIN" bench --scale quick --jobs 2 --json BENCH_quick.json \
-    --profile trace_quick.json "${COMPARE[@]}"
-rm -f BENCH_prev_quick.json
-echo "bench report written to BENCH_quick.json"
+echo "== benchmark contract tests (perfbench/) =="
+# The benchmark is its own Cargo package outside the workspace, so the
+# workspace test run above does not reach its tests.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "== span profiler (quick scale, trace_quick.json) =="
+# The fig. 3 grid under the span profiler: per-phase table on stdout,
+# Perfetto timeline to trace_quick.json.
+"$BIN" profile --scale quick --jobs 2 --profile trace_quick.json
 
 echo "== profile smoke check (trace_quick.json) =="
 # The Perfetto trace must exist, be non-empty, look like a

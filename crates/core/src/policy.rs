@@ -985,23 +985,6 @@ impl HugePolicy for GeminiPolicy {
     fn bucket_reuse_rate(&self) -> f64 {
         self.bucket.reuse_rate()
     }
-
-    fn debug_stats(&self) -> String {
-        format!(
-            "{:?} bookings(active={} total={} consumed={} expired={}) bucket(len={} offered={} reused={}) ema(len={} hits={} misses={})",
-            self.stats,
-            self.bookings.len(),
-            self.bookings.booked_total,
-            self.bookings.consumed_total,
-            self.bookings.expired_total,
-            self.bucket.len(),
-            self.bucket.offered_total,
-            self.bucket.reused_total,
-            self.ema.len(),
-            self.ema.hits,
-            self.ema.misses,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -9,13 +9,11 @@
 //! gemini-sim replay  [--trace IN.jsonl] [--system GEMINI] [--jobs N]
 //! gemini-sim parity  [--workload Redis] [--fragmented]
 //! gemini-sim fleet   [--scale quick|demo|bench|full] [--jobs N] [--json PATH]
-//! gemini-sim bench   [--scale quick|bench] [--jobs N] [--json BENCH_pr10.json]
-//!                    [--profile trace.json] [--compare OLD.json]
-//!                    [--threshold PCT] [--warn-only] [--pr6-wall-ms MS]
-//!                    [--pr9-wall-ms MS]
-//! gemini-sim bench   --compare OLD.json --against NEW.json   (diff only, no run)
+//! gemini-sim profile [--scale quick|demo|bench|full] [--jobs N] [--profile TRACE.json]
 //!
 //! common flags:
+//!   --system <name>                 system label (see `list`)
+//!   --workload <name>               workload name (see `list`)
 //!   --scale quick|demo|bench|full   (default demo)
 //!   --ops <n>                       operations per run
 //!   --seed <n>                      run seed
@@ -28,10 +26,15 @@
 //!                                   probe the TLB for every access of a
 //!                                   hit-only run (results are identical;
 //!                                   this only costs wall time)
+//!   --fragmented                    pre-fragment guest and host memory
+//!   --reused                        run after an SVM predecessor in the same VM
 //!   --json <path>                   export results (and any trace) as JSON Lines
 //!   --trace <path>                  gemini-trace-v1 file: written by `record`
 //!                                   (default stdout), read by `replay`
 //!                                   (default stdin)
+//!   --profile <path>                `profile` only: write a Chrome-trace-event
+//!                                   (Perfetto) timeline of the grid to <path>
+//! ```
 //!
 //! `record` runs one scenario live and tees every workload event into a
 //! versioned `gemini-trace-v1` trace (DESIGN.md §15) while printing the
@@ -45,8 +48,8 @@
 //! replays the same trace on the worker pool (`--jobs`), which
 //! requires `--trace FILE` (stdin cannot be re-read).
 //!
-//! `parity` runs every registry scenario twice — fast-forward on and
-//! off (`--no-ff`) — and fails unless each pair of results is
+//! `parity` runs every registry scenario three ways — the default,
+//! `--no-batch` and `--no-ff` — and fails unless each set of results is
 //! byte-identical, counters included. It then replays one fleet host
 //! per lifecycle system the same way, covering create/destroy churn.
 //!
@@ -55,16 +58,11 @@
 //! one executor cell, every VM torn down through the leak-checked
 //! `remove_vm` path when its lifetime ends.
 //!
-//! bench flags:
-//!   --profile <path>   write a Chrome-trace-event (Perfetto) timeline of
-//!                      the fig. 3 grid run to <path>
-//!   --compare <old>    diff the new bench report against <old>; exits
-//!                      nonzero on wall-time regressions beyond the threshold
-//!   --against <new>    with --compare: diff two existing files, run nothing
-//!   --threshold <pct>  regression threshold in percent (default 10)
-//!   --warn-only        print regressions but always exit zero (CI at demo
-//!                      scale in noisy containers)
-//! ```
+//! `profile` runs the fig. 3 grid under the span profiler and prints
+//! the merged per-phase self/cumulative wall-time table; with
+//! `--profile` it also writes the grid's Perfetto timeline (one track
+//! per worker, nested cell/phase spans, `tlb.batch_*` counter tracks).
+//! The simulator's benchmark is `perfbench/` (see its README).
 //!
 //! `trace` reruns one workload with full event tracing, metrics and
 //! time-series sampling on, then prints the event summary, the sampled
@@ -74,7 +72,7 @@ use gemini_harness::report::Table;
 use gemini_harness::runner::{
     record_workload_on, replay_trace_on, run_workload_on, run_workload_reused, run_workload_traced,
 };
-use gemini_harness::{effective_jobs, perfdiff, run_cells_traced, trace, Scale};
+use gemini_harness::{effective_jobs, profile, run_cells_traced, trace, Scale};
 use gemini_obs::{Profiler, Recorder, TraceConfig};
 use gemini_vm_sim::{RunResult, SystemKind};
 use gemini_workloads::{catalog, non_tlb_sensitive, spec_by_name, TraceHeader, TraceStream};
@@ -99,24 +97,17 @@ struct Opts {
     json: Option<PathBuf>,
     trace_path: Option<PathBuf>,
     profile: Option<PathBuf>,
-    compare: Option<PathBuf>,
-    against: Option<PathBuf>,
-    threshold_pct: f64,
-    warn_only: bool,
-    pr6_wall_ms: Option<f64>,
-    pr9_wall_ms: Option<f64>,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: gemini-sim <list|run|compare|trace|record|replay|parity|fleet|bench>\n\
+        "usage: gemini-sim <list|run|compare|trace|record|replay|parity|fleet|profile>\n\
          \x20                [--system NAME] [--workload NAME]\n\
          \x20                [--scale quick|demo|bench|full] [--ops N] [--seed N] [--jobs N]\n\
-         \x20                [--no-ff] [--fragmented] [--reused] [--json PATH]\n\
+         \x20                [--no-ff] [--no-batch] [--fragmented] [--reused] [--json PATH]\n\
          \x20 record/replay: [--trace PATH]   (record writes, default stdout;\n\
          \x20                                  replay reads, default stdin)\n\
-         \x20 bench only:    [--profile TRACE.json] [--compare OLD.json] [--against NEW.json]\n\
-         \x20                [--threshold PCT] [--warn-only] [--pr6-wall-ms MS]"
+         \x20 profile only:  [--profile TRACE.json]"
     );
     ExitCode::from(2)
 }
@@ -147,12 +138,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         json: None,
         trace_path: None,
         profile: None,
-        compare: None,
-        against: None,
-        threshold_pct: perfdiff::DEFAULT_THRESHOLD_PCT,
-        warn_only: false,
-        pr6_wall_ms: None,
-        pr9_wall_ms: None,
     };
     // `--jobs`, `--ops` and `--no-ff` are applied after the loop so
     // they win regardless of whether they appear before or after
@@ -187,28 +172,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             "--json" => opts.json = Some(PathBuf::from(take(&mut i)?)),
             "--trace" => opts.trace_path = Some(PathBuf::from(take(&mut i)?)),
             "--profile" => opts.profile = Some(PathBuf::from(take(&mut i)?)),
-            "--compare" => opts.compare = Some(PathBuf::from(take(&mut i)?)),
-            "--against" => opts.against = Some(PathBuf::from(take(&mut i)?)),
-            "--threshold" => {
-                opts.threshold_pct = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-            }
-            "--warn-only" => opts.warn_only = true,
-            "--pr6-wall-ms" => {
-                opts.pr6_wall_ms = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--pr6-wall-ms: {e}"))?,
-                );
-            }
-            "--pr9-wall-ms" => {
-                opts.pr9_wall_ms = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--pr9-wall-ms: {e}"))?,
-                );
-            }
             "--no-ff" => no_ff = true,
             "--no-batch" => no_batch = true,
             "--fragmented" => opts.fragmented = true,
@@ -475,9 +438,9 @@ fn cmd_record(opts: &Opts) -> Result<(), String> {
 
 /// The machine sizing for a replay: the caller's explicit `--scale`
 /// wins; otherwise the header's scale hint is resolved, keeping the
-/// command line's `--jobs`/`--no-ff` (which live on `Scale` but are
-/// orthogonal to sizing). Fragmentation is the union: the header hint
-/// or an explicit `--fragmented`.
+/// command line's `--jobs`/`--no-ff`/`--no-batch` (which live on
+/// `Scale` but are orthogonal to sizing). Fragmentation is the union:
+/// the header hint or an explicit `--fragmented`.
 fn replay_scale(opts: &Opts, header: &TraceHeader) -> (Scale, String, bool) {
     let mut scale = opts.scale;
     let mut name = opts.scale_name.clone();
@@ -486,6 +449,7 @@ fn replay_scale(opts: &Opts, header: &TraceHeader) -> (Scale, String, bool) {
             scale = s;
             scale.jobs = opts.scale.jobs;
             scale.no_ff = opts.scale.no_ff;
+            scale.no_batch = opts.scale.no_batch;
             name = header.scale.clone();
         } else {
             eprintln!(
@@ -732,128 +696,47 @@ fn cmd_fleet(opts: &Opts) -> Result<(), String> {
     export_json(opts, &lines)
 }
 
-/// Diffs `old_json` against `new_json` and reports the verdict.
-/// Returns `Err` (→ nonzero exit) on a regression unless `--warn-only`.
-fn run_compare_gate(opts: &Opts, old_path: &PathBuf, new_json: &str) -> Result<(), String> {
-    let old_json = std::fs::read_to_string(old_path)
-        .map_err(|e| format!("reading {}: {e}", old_path.display()))?;
-    let diff = perfdiff::compare_reports(&old_json, new_json, opts.threshold_pct)?;
-    print!("{}", diff.render());
-    if diff.regressed() {
-        if opts.warn_only {
-            eprintln!("perf regressions found (warn-only: not failing)");
-            return Ok(());
-        }
-        return Err(format!(
-            "{} perf regression(s) beyond {:.1}% vs {}",
-            diff.regressions.len(),
-            opts.threshold_pct,
-            old_path.display()
-        ));
-    }
-    eprintln!("no perf regressions vs {}", old_path.display());
-    Ok(())
-}
-
-fn cmd_bench(opts: &Opts) -> Result<(), String> {
-    // Pure diff mode: compare two existing reports without running.
-    if let (Some(old_path), Some(new_path)) = (&opts.compare, &opts.against) {
-        let new_json = std::fs::read_to_string(new_path)
-            .map_err(|e| format!("reading {}: {e}", new_path.display()))?;
-        return run_compare_gate(opts, old_path, &new_json);
-    }
-    if opts.against.is_some() {
-        return Err("--against needs --compare OLD.json".into());
-    }
-    let jobs_max = effective_jobs(opts.scale.jobs);
-    let mut report = gemini_harness::bench::run_bench(&opts.scale, &opts.scale_name, jobs_max)
-        .map_err(|e| format!("bench failed: {e}"))?;
-    report.pr6_same_host_wall_ms = opts.pr6_wall_ms;
-    report.pr9_same_host_wall_ms = opts.pr9_wall_ms;
+/// Runs the fig. 3 grid under the span profiler, prints the merged
+/// per-phase wall-time table and, with `--profile`, writes the grid's
+/// Perfetto timeline. Phase events are captured only when a trace file
+/// is requested; the totals come from the same run either way.
+fn cmd_profile(opts: &Opts) -> Result<(), String> {
+    let prof = Profiler::wall(opts.profile.is_some());
+    let started = std::time::Instant::now();
+    let trace_json = profile::grid_trace(&opts.scale, opts.scale.jobs, &prof)
+        .map_err(|e| format!("profiled grid failed: {e}"))?;
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let report = prof.report();
+    let total_self_ns = report.total_self_ns();
     let mut t = Table::new(
-        format!("bench — fig. 3 grid cells at {} scale", opts.scale_name),
-        &["cell", "wall ms", "ops/s (wall)"],
+        format!(
+            "profile — fig. 3 grid phases at {} scale on {} worker(s)",
+            opts.scale_name,
+            effective_jobs(opts.scale.jobs)
+        ),
+        &["phase", "self ms", "cum ms", "spans", "self share"],
     );
-    for c in &report.cells {
+    for (phase, stat) in &report.phases {
         t.row(vec![
-            c.label.clone(),
-            format!("{:.1}", c.wall_ms),
-            format!("{:.0}", c.ops_per_sec),
+            phase.name().to_string(),
+            format!("{:.1}", stat.self_ns as f64 / 1e6),
+            format!("{:.1}", stat.cum_ns as f64 / 1e6),
+            stat.count.to_string(),
+            format!(
+                "{:.1}%",
+                100.0 * stat.self_ns as f64 / total_self_ns.max(1) as f64
+            ),
         ]);
     }
     print!("{}", t.render());
-    for p in &report.sweep {
-        eprintln!(
-            "sweep: jobs={} wall_ms={:.0} speedup_vs_jobs1={:.2}",
-            p.jobs, p.wall_ms, p.speedup_vs_jobs1
-        );
-    }
     eprintln!(
-        "reference cell {}: {:.0} ms, {:.0} ops/s ({:.2}x vs pre-PR baseline {:.0} ops/s)",
-        gemini_harness::bench::REFERENCE_CELL,
-        report.reference_wall_ms,
-        report.reference_ops_per_sec,
-        report.speedup_vs_baseline(),
-        gemini_harness::bench::BASELINE_OPS_PER_SEC,
+        "grid wall {wall_ms:.0} ms; phase self-time {:.0} ms summed over workers; \
+         profiler overhead est. {:.0} ms ({} spans)",
+        total_self_ns as f64 / 1e6,
+        report.overhead_est_ns as f64 / 1e6,
+        report.spans_recorded,
     );
-    if let Some(pr6_ms) = report.pr6_same_host_wall_ms {
-        eprintln!(
-            "reference cell vs same-host PR 6 rebuild: {:.0} ms -> {:.0} ms ({:.2}x)",
-            pr6_ms,
-            report.reference_wall_ms,
-            pr6_ms / report.reference_wall_ms.max(1e-9),
-        );
-    }
-    if let Some(pr9_ms) = report.pr9_same_host_wall_ms {
-        eprintln!(
-            "reference cell vs same-host PR 9 rebuild: {:.0} ms -> {:.0} ms ({:.2}x)",
-            pr9_ms,
-            report.reference_wall_ms,
-            pr9_ms / report.reference_wall_ms.max(1e-9),
-        );
-    }
-    eprintln!(
-        "reference cell --no-batch: {:.0} ms vs {:.0} ms batched ({:.2}x); batch hit rate {:.1}% ({} hits / {} runs, {} breaks)",
-        report.reference_batched.no_batch_wall_ms,
-        report.reference_wall_ms,
-        report.reference_batched.no_batch_wall_ms / report.reference_wall_ms.max(1e-9),
-        report.reference_batched.batch_hit_rate * 100.0,
-        report.reference_batched.batched_hits,
-        report.reference_batched.batch_runs,
-        report.reference_batched.batch_breaks,
-    );
-    if let Some(fleet) = &report.fleet {
-        let fmfi = fleet
-            .end_host_fmfi
-            .iter()
-            .map(|(s, v)| format!("{s} {v:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        eprintln!(
-            "fleet smoke: {} VM lifecycles ({} churn events) in {:.0} ms; end FMFI {}",
-            fleet.vms, fleet.churn_events, fleet.wall_ms, fmfi
-        );
-    }
-    eprintln!(
-        "reference phases sum {:.0} ms self-time; profiler overhead {:.2}%",
-        report
-            .reference_phases
-            .iter()
-            .map(|p| p.wall_ms)
-            .sum::<f64>(),
-        report.reference_overhead_pct,
-    );
-    let report_json = report.to_json();
-    let path = opts
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_pr10.json"));
-    std::fs::write(&path, &report_json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    eprintln!("wrote bench report to {}", path.display());
     if let Some(trace_path) = &opts.profile {
-        let prof = Profiler::wall(true);
-        let trace_json = gemini_harness::bench::grid_trace(&opts.scale, jobs_max, &prof)
-            .map_err(|e| format!("profiled grid failed: {e}"))?;
         std::fs::write(trace_path, &trace_json)
             .map_err(|e| format!("writing {}: {e}", trace_path.display()))?;
         eprintln!(
@@ -861,9 +744,6 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
             trace_json.len(),
             trace_path.display()
         );
-    }
-    if let Some(old_path) = &opts.compare {
-        return run_compare_gate(opts, old_path, &report_json);
     }
     Ok(())
 }
@@ -894,7 +774,7 @@ fn main() -> ExitCode {
         "replay" => cmd_replay(&opts),
         "parity" => cmd_parity(&opts),
         "fleet" => cmd_fleet(&opts),
-        "bench" => cmd_bench(&opts),
+        "profile" => cmd_profile(&opts),
         _ => return usage(),
     };
     match result {
@@ -929,8 +809,8 @@ mod tests {
 
     #[test]
     fn jobs_and_no_ff_survive_scale_in_either_order() {
-        let before = parse_ok(&["bench", "--jobs", "3", "--no-ff", "--scale", "quick"]);
-        let after = parse_ok(&["bench", "--scale", "quick", "--jobs", "3", "--no-ff"]);
+        let before = parse_ok(&["profile", "--jobs", "3", "--no-ff", "--scale", "quick"]);
+        let after = parse_ok(&["profile", "--scale", "quick", "--jobs", "3", "--no-ff"]);
         assert_eq!(before.scale.jobs, 3);
         assert_eq!(after.scale.jobs, 3);
         assert!(before.scale.no_ff);
@@ -938,27 +818,11 @@ mod tests {
     }
 
     #[test]
-    fn no_batch_and_pr9_wall_ms_survive_scale_in_either_order() {
-        let before = parse_ok(&[
-            "bench",
-            "--no-batch",
-            "--pr9-wall-ms",
-            "123.5",
-            "--scale",
-            "quick",
-        ]);
-        let after = parse_ok(&[
-            "bench",
-            "--scale",
-            "quick",
-            "--no-batch",
-            "--pr9-wall-ms",
-            "123.5",
-        ]);
+    fn no_batch_survives_scale_in_either_order() {
+        let before = parse_ok(&["run", "--no-batch", "--scale", "quick"]);
+        let after = parse_ok(&["run", "--scale", "quick", "--no-batch"]);
         assert!(before.scale.no_batch);
         assert!(after.scale.no_batch);
-        assert_eq!(before.pr9_wall_ms, Some(123.5));
-        assert_eq!(after.pr9_wall_ms, Some(123.5));
         // Default stays off: batching is opt-out.
         assert!(!parse_ok(&["run"]).scale.no_batch);
     }

@@ -15,19 +15,17 @@
 //!
 //! Experiments are pure functions of a [`Scale`] (and are deterministic),
 //! so the same code drives the quick examples, the integration tests and
-//! the full `cargo bench` reproduction.
+//! the `figures` example that prints every table at `GEMINI_SCALE`.
 
-pub mod bench;
 pub mod exec;
 pub mod experiments;
-pub mod perfdiff;
+pub mod profile;
 pub mod report;
 pub mod runner;
 pub mod scale;
 pub mod trace;
 
 pub use exec::{effective_jobs, run_cells, run_cells_profiled, run_cells_traced};
-pub use perfdiff::{compare_reports, DiffReport};
 pub use report::Table;
 pub use runner::{
     record_workload_on, replay_trace_on, run_workload_on, run_workload_profiled,

@@ -24,28 +24,6 @@ pub fn run_workload_on(
     machine.run(vm, gen)
 }
 
-/// Like [`run_workload_on`], but also returns the machine's batching
-/// statistics ([`gemini_tlb::BatchStats`]): how many provably hit-only
-/// runs the closed-form fast path advanced, how many accesses rode
-/// them, and how often a run was declined or truncated. The `RunResult`
-/// is byte-identical to [`run_workload_on`] — batching observability
-/// deliberately lives outside the compared counters (DESIGN.md §16).
-pub fn run_workload_batch_stats(
-    system: SystemKind,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    fragmented: bool,
-    seed: u64,
-) -> Result<(RunResult, gemini_tlb::BatchStats)> {
-    let cfg = scale.machine_config(fragmented, spec.zero_heavy, seed);
-    let mut machine = Machine::new(system, cfg);
-    let vm = machine.add_vm()?;
-    let gen = WorkloadGen::new(spec.scaled(scale.ws_factor), scale.ops, seed);
-    let result = machine.run(vm, gen)?;
-    let stats = machine.batch_stats();
-    Ok((result, stats))
-}
-
 /// Like [`run_workload_on`], but with event tracing, metrics and
 /// time-series sampling enabled per `trace`; returns the machine's
 /// recorder alongside the result.
@@ -69,30 +47,14 @@ pub fn run_workload_traced(
 
 /// Like [`run_workload_on`], but with phase-level span profiling: the
 /// whole cell (machine build, workload generation, event processing,
-/// daemons) records spans into `prof`. The simulated result is
-/// identical to the unprofiled run — the profiler only observes
-/// wall-clock time, it never touches simulated state.
+/// daemons) records spans into `prof`. Also returns the machine's
+/// batching statistics ([`gemini_tlb::BatchStats`]): how many provably
+/// hit-only runs the closed-form fast path advanced, how many accesses
+/// rode them, and how often a run was declined or truncated. The
+/// `RunResult` is byte-identical to the unprofiled run — the profiler
+/// only observes wall-clock time, and batching observability lives
+/// outside the compared counters (DESIGN.md §16).
 pub fn run_workload_profiled(
-    system: SystemKind,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    fragmented: bool,
-    seed: u64,
-    prof: Profiler,
-) -> Result<RunResult> {
-    let mut cfg = scale.machine_config(fragmented, spec.zero_heavy, seed);
-    cfg.profiler = prof;
-    let mut machine = Machine::new(system, cfg);
-    let vm = machine.add_vm()?;
-    let gen = WorkloadGen::new(spec.scaled(scale.ws_factor), scale.ops, seed);
-    machine.run(vm, gen)
-}
-
-/// [`run_workload_profiled`] + [`run_workload_batch_stats`] in one:
-/// span profiling into `prof`, batching statistics in the return.
-/// Feeds the Perfetto grid export, where the batch totals become
-/// counter tracks next to the timeline.
-pub fn run_workload_profiled_batch_stats(
     system: SystemKind,
     spec: &WorkloadSpec,
     scale: &Scale,
@@ -106,8 +68,7 @@ pub fn run_workload_profiled_batch_stats(
     let vm = machine.add_vm()?;
     let gen = WorkloadGen::new(spec.scaled(scale.ws_factor), scale.ops, seed);
     let result = machine.run(vm, gen)?;
-    let stats = machine.batch_stats();
-    Ok((result, stats))
+    Ok((result, machine.batch_stats()))
 }
 
 /// Like [`run_workload_on`], but *recording*: every event the live

@@ -6,7 +6,7 @@
 //! counts together so the quick preset finishes in seconds while the full
 //! preset matches DESIGN.md §5.
 
-use gemini_sim_core::{derive_seed, Cycles};
+use gemini_sim_core::derive_seed;
 use gemini_vm_sim::MachineConfig;
 
 /// A coherent set of sizing knobs for one experiment run.
@@ -78,8 +78,9 @@ impl Scale {
         }
     }
 
-    /// Default preset for `cargo bench`: large enough for the TLB regime
-    /// to match the paper's, small enough to sweep all grids in minutes.
+    /// Default preset of [`Scale::from_env`] (the `figures` example):
+    /// large enough for the TLB regime to match the paper's, small
+    /// enough to sweep all grids in minutes.
     pub fn bench() -> Self {
         Self {
             ws_factor: 0.25,
@@ -172,9 +173,8 @@ impl Scale {
 /// Interprets one `GEMINI_JOBS` value: `Some(n)` applies `n` (`0`
 /// means "available parallelism", per the [`Scale::jobs`] contract),
 /// `None` keeps the preset default. A value that is present but not a
-/// number gets a stderr warning instead of a silent fallback — the
-/// same contract `GEMINI_BENCH_OPS` follows in the bench crate, so a
-/// typo like `GEMINI_JOBS=two` no longer quietly runs a different
+/// number gets a stderr warning instead of a silent fallback, so a
+/// typo like `GEMINI_JOBS=two` does not quietly run a different
 /// thread count than the user asked for.
 fn parse_jobs(raw: &str) -> Option<usize> {
     match raw.parse::<usize>() {
@@ -185,10 +185,6 @@ fn parse_jobs(raw: &str) -> Option<usize> {
         }
     }
 }
-
-/// Suppressed-duration marker so Cycles stays in scope for doc purposes.
-#[allow(dead_code)]
-fn _unused(_: Cycles) {}
 
 #[cfg(test)]
 mod tests {

@@ -303,11 +303,6 @@ pub trait HugePolicy: Send {
     fn bucket_reuse_rate(&self) -> f64 {
         0.0
     }
-
-    /// One-line internal-state description for diagnostics.
-    fn debug_stats(&self) -> String {
-        String::new()
-    }
 }
 
 /// A trivial policy that always uses base pages; the `Host-B-VM-B`

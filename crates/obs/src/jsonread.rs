@@ -1,11 +1,10 @@
 //! Minimal JSON reader.
 //!
 //! The workspace hand-rolls all JSON *output* (`json` module); this is
-//! the matching *input* side, added for the two places the simulator
-//! must read JSON back: the perf-regression gate (`gemini-sim bench
-//! --compare` diffs two bench reports) and tests that verify emitted
-//! artefacts (Chrome traces, bench schema) are well-formed by parsing
-//! them rather than grepping them.
+//! the matching *input* side, for the places the simulator must read
+//! JSON back: `gemini-trace-v1` trace headers, and tests that verify
+//! emitted artefacts (Chrome traces, JSON Lines exports) are
+//! well-formed by parsing them rather than grepping them.
 //!
 //! Scope is deliberately small: strict-enough recursive-descent over
 //! the JSON this repo emits. Numbers parse to `f64` (all our emitted

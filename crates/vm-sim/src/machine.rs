@@ -439,14 +439,6 @@ impl Machine {
         })
     }
 
-    /// Diagnostic one-liners from the guest and host policies.
-    pub fn policy_debug(&self, vm: VmId) -> (String, String) {
-        (
-            self.vms[&vm].policy.debug_stats(),
-            self.host_policy.debug_stats(),
-        )
-    }
-
     /// Runs a whole workload to completion in `vm`.
     ///
     /// Accepts any [`EventStream`] — a live
@@ -1628,56 +1620,5 @@ mod tests {
         assert!(r.vtime > Cycles::ZERO);
         // The guest side really went huge while the host ran THP.
         assert!(r.alignment.guest_huge > 0);
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-    use crate::system::SystemKind;
-    use gemini_workloads::{spec_by_name, WorkloadGen};
-
-    #[test]
-    #[ignore]
-    fn probe_fragmented() {
-        for wl in ["Canneal"] {
-            println!("--- {wl} ---");
-            let cfg = MachineConfig {
-                host_frames: 1 << 18,
-                vm_frames: 1 << 17,
-                fragment_guest: Some(0.9),
-                fragment_host: Some(0.9),
-                ..MachineConfig::default()
-            };
-            for system in [SystemKind::CaPaging, SystemKind::Ranger] {
-                let mut cfg = cfg.clone();
-                cfg.zero_heavy = wl == "Specjbb";
-                let spec = spec_by_name(wl)
-                    .expect("probe workload registered")
-                    .scaled(0.25);
-                let mut m = Machine::new(system, cfg.clone());
-                let vm = m.add_vm().unwrap();
-                let r = m.run(vm, WorkloadGen::new(spec, 8_000, 5)).unwrap();
-                println!(
-                    "{:14} vtime={:>12} misses={:>8} aligned={:.2} g_huge={} h_huge={} fmfi_g={:.2} fmfi_h={:.2} bucket={:.2}",
-                    r.system, r.vtime.0, r.tlb_misses(), r.aligned_rate(),
-                    r.alignment.guest_huge, r.alignment.host_huge,
-                    r.guest_fmfi, r.host_fmfi, r.bucket_reuse_rate
-                );
-                let (g, h) = m.policy_debug(vm);
-                if !g.is_empty() {
-                    println!("  guest: {g}");
-                    println!("  host:  {h}");
-                }
-                let vs = &m.vms[&vm];
-                println!(
-                    "  compact: guest pins={} moved={} | host pins={} moved={} | guest largest_run={} free_o9={}",
-                    vs.compactor.pinned(), vs.compactor.migrated_total,
-                    m.host_compactor.pinned(), m.host_compactor.migrated_total,
-                    vs.guest.buddy().largest_free_run(),
-                    vs.guest.buddy().free_blocks_of_order(9),
-                );
-            }
-        }
     }
 }

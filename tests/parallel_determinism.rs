@@ -5,10 +5,6 @@
 //! result can depend on which worker ran it or in which order cells
 //! finished.
 
-use gemini_harness::bench::{
-    BatchedRefSection, BenchReport, CellTiming, FleetBenchSection, PhaseTiming, SweepPoint,
-    REFERENCE_CELL,
-};
 use gemini_harness::experiments::{clean_slate, motivation, reused_vm};
 use gemini_harness::{run_cells_traced, trace, Scale};
 use gemini_obs::{Recorder, TraceConfig};
@@ -97,113 +93,6 @@ fn motivation_grid_is_byte_identical_across_jobs() {
     assert_eq!(sequential, parallel, "jobs=1 vs jobs={jobs} diverged");
     let parallel_again = motivation_artefacts(jobs);
     assert_eq!(parallel, parallel_again, "repeated jobs={jobs} diverged");
-}
-
-#[test]
-fn bench_report_schema_is_pinned() {
-    // BENCH_pr6.json is a trajectory artefact: later PRs append
-    // comparable entries, so the field set must not drift silently.
-    // Pin the exact rendering of a synthetic report (wall-clock values
-    // are inputs here, so the output is reproducible).
-    let report = BenchReport {
-        scale: "quick".into(),
-        jobs_max: 2,
-        available_parallelism: 8,
-        reference_wall_ms: 500.0,
-        reference_ops_per_sec: 15338.0,
-        pr6_same_host_wall_ms: Some(1000.0),
-        pr9_same_host_wall_ms: Some(750.0),
-        reference_batched: BatchedRefSection {
-            batched_wall_ms: 495.0,
-            no_batch_wall_ms: 520.0,
-            batch_runs: 1200,
-            batched_hits: 9000,
-            batch_breaks: 40,
-            batch_hit_rate: 0.25,
-        },
-        reference_phases: vec![PhaseTiming {
-            name: "access",
-            wall_ms: 400.0,
-            cum_ms: 480.0,
-            count: 8,
-        }],
-        reference_profiled_wall_ms: 505.0,
-        reference_overhead_pct: 0.5,
-        cells: vec![CellTiming {
-            label: "Canneal/GEMINI".into(),
-            wall_ms: 250.0,
-            ops: 2500,
-            ops_per_sec: 10000.0,
-            phases: vec![PhaseTiming {
-                name: "fault_path",
-                wall_ms: 60.0,
-                cum_ms: 75.0,
-                count: 120,
-            }],
-            profiler_overhead_ms: 0.25,
-        }],
-        sweep: vec![
-            SweepPoint {
-                jobs: 1,
-                wall_ms: 250.0,
-                speedup_vs_jobs1: 1.0,
-                cell_wall_ms: vec![250.0],
-                oversubscribed: false,
-            },
-            SweepPoint {
-                jobs: 2,
-                wall_ms: 125.0,
-                speedup_vs_jobs1: 2.0,
-                cell_wall_ms: vec![125.0],
-                oversubscribed: true,
-            },
-        ],
-        fleet: Some(FleetBenchSection {
-            vms: 250,
-            churn_events: 500,
-            wall_ms: 4000.0,
-            end_host_fmfi: vec![("THP".into(), 0.25), ("GEMINI".into(), 0.125)],
-        }),
-    };
-    let expected = format!(
-        r#"{{
-  "schema": "gemini-bench-v3",
-  "scale": "quick",
-  "jobs_max": 2,
-  "available_parallelism": 8,
-  "reference_cell": {{
-    "label": "{REFERENCE_CELL}",
-    "baseline_wall_ms": 1043,
-    "baseline_ops_per_sec": 7669,
-    "current_wall_ms": 500,
-    "current_ops_per_sec": 15338,
-    "speedup_vs_baseline": 2,
-    "pr6_same_host_wall_ms": 1000,
-    "speedup_vs_pr6_same_host": 2,
-    "pr9_same_host_wall_ms": 750,
-    "speedup_vs_pr9_same_host": 1.5,
-    "batched_wall_ms": 495,
-    "no_batch_wall_ms": 520,
-    "batch_runs": 1200,
-    "batched_hits": 9000,
-    "batch_breaks": 40,
-    "batch_hit_rate": 0.25,
-    "profiled_wall_ms": 505,
-    "profiler_overhead_pct": 0.5,
-    "phases": [{{"name": "access", "wall_ms": 400, "cum_ms": 480, "count": 8}}]
-  }},
-  "cells": [
-    {{"label": "Canneal/GEMINI", "wall_ms": 250, "ops": 2500, "ops_per_sec": 10000, "profiler_overhead_ms": 0.25, "phases": [{{"name": "fault_path", "wall_ms": 60, "cum_ms": 75, "count": 120}}]}}
-  ],
-  "jobs_sweep": [
-    {{"jobs": 1, "wall_ms": 250, "speedup_vs_jobs1": 1, "oversubscribed": false, "cell_wall_ms": [250]}},
-    {{"jobs": 2, "wall_ms": 125, "speedup_vs_jobs1": 2, "oversubscribed": true, "cell_wall_ms": [125]}}
-  ],
-  "fleet": {{"vms": 250, "churn_events": 500, "wall_ms": 4000, "end_host_fmfi": [{{"system": "THP", "fmfi": 0.25}}, {{"system": "GEMINI", "fmfi": 0.125}}]}}
-}}
-"#
-    );
-    assert_eq!(report.to_json(), expected);
 }
 
 #[test]
