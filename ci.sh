@@ -20,8 +20,8 @@ GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test parallel_determin
 
 echo "== layer parity + golden byte-identity (GEMINI_JOBS=2) =="
 # Same policy through the guest and host LayerEngine instantiations, and
-# the fig3/fig8 grids against their pre-refactor goldens, at two worker
-# counts.
+# the fig3, fig8, collocated and fleet goldens (tests/golden/) at two
+# worker counts.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test layer_parity
 
 echo "== fast-forward + batching parity (GEMINI_JOBS=2) =="
@@ -33,10 +33,11 @@ echo "== fast-forward + batching parity (GEMINI_JOBS=2) =="
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test ff_parity
 
 echo "== VM lifecycle churn properties (GEMINI_JOBS=2) =="
-# DESIGN.md §14: DetRng-seeded create/run/destroy interleavings — every
-# departure leaves the buddy invariants (index == rescan) intact, a
-# drained host is byte-identical to a fresh one, and the fleet driver's
-# reclaimed-frame accounting matches the teardowns.
+# DESIGN.md §14: DetRng-seeded create/run/destroy interleavings on clean
+# and fragmented hosts — every departure leaves the buddy invariants
+# (index == rescan) intact, a drained host is byte-identical to a fresh
+# one, teardown index work is bounded by the VM's frames, and the fleet
+# driver's reclaimed-frame accounting matches the teardowns.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test fleet_lifecycle
 
 echo "== cargo doc (workspace, no-deps, -D warnings) =="

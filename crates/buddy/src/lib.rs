@@ -135,15 +135,7 @@ impl BuddyAllocator {
         // Carve the range greedily into maximal aligned blocks.
         let mut frame = 0u64;
         while frame < num_frames {
-            let align_order = if frame == 0 {
-                MAX_ORDER
-            } else {
-                frame.trailing_zeros().min(MAX_ORDER)
-            };
-            let mut order = align_order;
-            while frame + (1 << order) > num_frames {
-                order -= 1;
-            }
+            let order = carve_order(frame, num_frames);
             alloc.insert_free(frame, order);
             frame += 1 << order;
         }
@@ -244,7 +236,10 @@ impl BuddyAllocator {
     ///
     /// Only callable inside [`BuddyAllocator::bulk_update`] (the
     /// fragmenter's release of unpinned frames), where index maintenance
-    /// is suspended; debug builds assert this.
+    /// is suspended; debug builds assert this. It rebuilds the whole
+    /// block layout, so it pays only when most of memory changes at
+    /// once; freeing a few frames into a live allocator is
+    /// [`BuddyAllocator::free_sorted_frames`].
     pub fn free_singles(&mut self, frames: &[u64]) -> Result<(), SimError> {
         debug_assert!(!self.index_live, "free_singles outside bulk_update");
         // Expand current free blocks plus the new singles into a bitmap.
@@ -280,21 +275,47 @@ impl BuddyAllocator {
             // Greedy carve of the run into maximal aligned blocks.
             let mut pos = frame as u64;
             while pos < end as u64 {
-                let align_order = if pos == 0 {
-                    MAX_ORDER
-                } else {
-                    pos.trailing_zeros().min(MAX_ORDER)
-                };
-                let mut order = align_order;
-                while pos + (1 << order) > end as u64 {
-                    order -= 1;
-                }
+                let order = carve_order(pos, end as u64);
                 self.insert_free(pos, order);
                 pos += 1 << order;
             }
             frame = end;
         }
         self.free_frames += frames.len() as u64;
+        Ok(())
+    }
+
+    /// Frees single base frames with the run index live, producing the
+    /// same end state as [`BuddyAllocator::free_singles`] under
+    /// [`BuddyAllocator::bulk_update`] — in time proportional to the
+    /// frames freed, not to the managed range.
+    ///
+    /// Each stretch of consecutive frames is carved into maximal aligned
+    /// blocks (the greedy carve of [`BuddyAllocator::new`]), and each
+    /// block goes through [`BuddyAllocator::free`]. Eager merging gives
+    /// every free-frame set exactly one block decomposition, and the run
+    /// index is a function of that set, so the result does not depend on
+    /// how the frames were grouped. `frames` should be sorted ascending
+    /// so stretches are found; any order of unique frames is correct,
+    /// only slower. A frame that is already free or out of range fails
+    /// with [`SimError::BadFree`]; blocks carved before it stay freed.
+    pub fn free_sorted_frames(&mut self, frames: &[u64]) -> Result<(), SimError> {
+        let mut i = 0;
+        while i < frames.len() {
+            let start = frames[i];
+            let mut end = start + 1;
+            i += 1;
+            while i < frames.len() && frames[i] == end {
+                end += 1;
+                i += 1;
+            }
+            let mut pos = start;
+            while pos < end {
+                let order = carve_order(pos, end);
+                self.free(pos, order)?;
+                pos += 1 << order;
+            }
+        }
         Ok(())
     }
 
@@ -446,9 +467,8 @@ impl BuddyAllocator {
     }
 
     /// Re-derives the maximal free runs by scanning `order_of` from
-    /// scratch — the reference the incremental index is checked against
-    /// ([`BuddyAllocator::check_invariants`], property tests). O(frames);
-    /// not for production paths.
+    /// scratch — the reference tests hold the incremental index against.
+    /// O(frames); not for production paths.
     pub fn free_runs_rescan(&self) -> Vec<(u64, u64)> {
         let n = self.total_frames;
         let mut runs = Vec::new();
@@ -572,6 +592,10 @@ impl BuddyAllocator {
     /// cost independent of the number of intermediate operations. The
     /// rebuilt index is identical to what incremental maintenance would
     /// have produced (both equal the rescan), so results are unchanged.
+    ///
+    /// The rebuild costs O(frames) however little `f` changes, so only
+    /// the fragmenter uses it; VM teardown frees through
+    /// [`BuddyAllocator::free_sorted_frames`] with the index live.
     ///
     /// Queries (`free_runs*`, `first_*`, `largest_free_run`, ...) must
     /// not be called from inside `f`; debug builds assert this.
@@ -803,15 +827,33 @@ impl BuddyAllocator {
         }
     }
 
-    /// Verifies internal invariants; used by tests.
+    /// Verifies the allocator's internal invariants in one pass over
+    /// `order_of`. This is the production leak check
+    /// `Machine::remove_vm` runs after every VM teardown, and tests call
+    /// it after every step.
     ///
-    /// Checks that free lists and the block index agree, blocks are aligned
-    /// and disjoint, the free-frame count matches, and no two free buddies
-    /// coexist unmerged.
+    /// Checks that every free block is in range, aligned, disjoint from
+    /// the others and not an unmerged buddy; that the per-order counts,
+    /// the free-frame count and the per-order min-start hints agree with
+    /// the blocks; and that both run-index maps hold exactly the maximal
+    /// runs the blocks form.
     pub fn check_invariants(&self) -> Result<(), SimError> {
+        let orders = (MAX_ORDER + 1) as usize;
+        let mut per_order = vec![0u64; orders];
+        let mut lowest = vec![u64::MAX; orders];
         let mut counted = 0u64;
-        let mut prev_end = 0u64;
-        let mut per_order = vec![0u64; (MAX_ORDER + 1) as usize];
+        // The maximal run being built, as `[start, end)`, and the index
+        // entries it is compared against as each run closes.
+        let mut run: Option<(u64, u64)> = None;
+        let mut indexed = self.runs_by_addr.iter();
+        let mut lens: Vec<u64> = Vec::with_capacity(self.runs_by_addr.len());
+        let mut close_run = |(start, end): (u64, u64)| {
+            lens.push(end - start);
+            if indexed.next() != Some((&start, &(end - start))) {
+                return Err(SimError::Invariant("run index out of sync with order_of"));
+            }
+            Ok(())
+        };
         for (f, &marker) in self.order_of.iter().enumerate() {
             if marker == NO_BLOCK {
                 continue;
@@ -820,39 +862,45 @@ impl BuddyAllocator {
             if order > MAX_ORDER {
                 return Err(SimError::Invariant("free block order out of range"));
             }
-            per_order[order as usize] += 1;
             if start & ((1 << order) - 1) != 0 {
                 return Err(SimError::Invariant("free block misaligned"));
             }
-            if start < prev_end {
+            if start < run.map_or(0, |(_, run_end)| run_end) {
                 return Err(SimError::Invariant("free blocks overlap"));
             }
-            prev_end = start + (1 << order);
-            if prev_end > self.total_frames {
+            let end = start + (1 << order);
+            if end > self.total_frames {
                 return Err(SimError::Invariant("free block out of range"));
             }
-            counted += 1 << order;
             if order < MAX_ORDER {
                 let buddy = start ^ (1u64 << order);
                 if buddy < self.total_frames && self.order_of[buddy as usize] == order as u8 {
                     return Err(SimError::Invariant("unmerged free buddies"));
                 }
             }
+            per_order[order as usize] += 1;
+            lowest[order as usize] = lowest[order as usize].min(start);
+            counted += 1 << order;
+            run = match run {
+                Some((run_start, run_end)) if run_end == start => Some((run_start, end)),
+                Some(closed) => {
+                    close_run(closed)?;
+                    Some((start, end))
+                }
+                None => Some((start, end)),
+            };
+        }
+        if let Some(closed) = run {
+            close_run(closed)?;
+        }
+        if indexed.next().is_some() {
+            return Err(SimError::Invariant("run index out of sync with order_of"));
         }
         if per_order != self.counts {
             return Err(SimError::Invariant("per-order block counts out of sync"));
         }
-        for o in 0..=MAX_ORDER as usize {
-            if self.counts[o] > 0 {
-                let lowest = self
-                    .order_of
-                    .iter()
-                    .position(|&m| m == o as u8)
-                    .expect("count > 0 implies a block exists") as u64;
-                if self.min_start[o] > lowest {
-                    return Err(SimError::Invariant("min-start hint above true minimum"));
-                }
-            }
+        if (0..orders).any(|o| self.counts[o] > 0 && self.min_start[o] > lowest[o]) {
+            return Err(SimError::Invariant("min-start hint above true minimum"));
         }
         let listed: u64 = self
             .counts
@@ -863,25 +911,40 @@ impl BuddyAllocator {
         if counted != self.free_frames || listed != self.free_frames {
             return Err(SimError::Invariant("free frame accounting mismatch"));
         }
-        // The incremental run index must equal a fresh rescan and its two
-        // maps must mirror each other.
-        let rescan = self.free_runs_rescan();
-        if self.runs_by_addr.len() != rescan.len()
-            || !rescan
-                .iter()
-                .all(|&(s, l)| self.runs_by_addr.get(&s) == Some(&l))
-        {
-            return Err(SimError::Invariant("run index out of sync with order_of"));
+        // The size histogram must count the run lengths exactly: walk the
+        // sorted lengths in groups of equal length.
+        lens.sort_unstable();
+        let mut sizes = self.runs_by_size.iter();
+        let mut i = 0;
+        while i < lens.len() {
+            let len = lens[i];
+            let group = lens[i..].iter().take_while(|&&l| l == len).count();
+            if sizes.next() != Some((&len, &(group as u64))) {
+                return Err(SimError::Invariant("size index out of sync with run map"));
+            }
+            i += group;
         }
-        let mut histogram: BTreeMap<u64, u64> = BTreeMap::new();
-        for &(_, l) in &rescan {
-            *histogram.entry(l).or_insert(0) += 1;
-        }
-        if self.runs_by_size != histogram {
+        if sizes.next().is_some() {
             return Err(SimError::Invariant("size index out of sync with run map"));
         }
         Ok(())
     }
+}
+
+/// Order of the largest block the greedy carve of `[pos, end)` places at
+/// `pos`: the largest order `pos` is aligned to whose block still ends by
+/// `end`. Carving a run this way from its start yields the unique block
+/// decomposition eager merging maintains.
+fn carve_order(pos: u64, end: u64) -> u32 {
+    let mut order = if pos == 0 {
+        MAX_ORDER
+    } else {
+        pos.trailing_zeros().min(MAX_ORDER)
+    };
+    while pos + (1 << order) > end {
+        order -= 1;
+    }
+    order
 }
 
 /// First frame `>= start` congruent to `in0` modulo the huge page size —
@@ -1005,6 +1068,142 @@ mod tests {
         });
         b.check_invariants().unwrap();
         assert_eq!(b.free_runs(), vec![(0, 64)]);
+    }
+
+    #[test]
+    fn free_sorted_frames_merges_into_the_live_index() {
+        let mut a = BuddyAllocator::new(1000);
+        a.alloc_at(0, 9).unwrap();
+        a.alloc_at(600, 3).unwrap();
+        a.take_work_counters();
+        // A stretch crossing block boundaries, an isolated frame and a
+        // stretch that closes a gap between two free runs.
+        let frames: Vec<u64> = (3..130).chain([300]).chain(600..608).collect();
+        a.free_sorted_frames(&frames).unwrap();
+        a.check_invariants().unwrap();
+        assert_eq!(a.free_runs(), a.free_runs_rescan());
+        assert_eq!(a.free_runs(), vec![(3, 127), (300, 1), (512, 488)]);
+        assert_eq!(a.free_frames(), 1000 - 512 - 8 + frames.len() as u64);
+        let (_, updates) = a.take_work_counters();
+        assert!(
+            updates <= 3 * frames.len() as u64,
+            "{updates} index updates"
+        );
+    }
+
+    #[test]
+    fn free_sorted_frames_rejects_double_and_out_of_range_frees() {
+        let mut a = BuddyAllocator::new(64);
+        a.alloc_at(0, 5).unwrap();
+        // Frame 40 is free already; frame 64 is past the end.
+        assert!(matches!(
+            a.free_sorted_frames(&[40]),
+            Err(SimError::BadFree(_))
+        ));
+        assert!(matches!(
+            a.free_sorted_frames(&[64]),
+            Err(SimError::BadFree(_))
+        ));
+        // A duplicate inside one call is a double free too.
+        assert!(matches!(
+            a.free_sorted_frames(&[5, 5]),
+            Err(SimError::BadFree(_))
+        ));
+        a.check_invariants().unwrap();
+        // The rejected calls freed nothing they should not have: the
+        // rest of the block still frees cleanly.
+        let rest: Vec<u64> = (0..32).filter(|&f| f != 5).collect();
+        a.free_sorted_frames(&rest).unwrap();
+        assert_eq!(a.free_runs(), vec![(0, 64)]);
+        a.check_invariants().unwrap();
+    }
+
+    /// A fragmented allocator with runs of several lengths, for the
+    /// corruption tests: runs (1, 2), (4, 60), (65, 959) over 1024
+    /// frames once frames 0, 3 and 64 are held.
+    fn corruptible() -> BuddyAllocator {
+        let mut a = BuddyAllocator::new(1024);
+        for f in [0, 3, 64] {
+            a.alloc_at(f, 0).unwrap();
+        }
+        a.check_invariants().unwrap();
+        a
+    }
+
+    fn rejection(a: &BuddyAllocator) -> &'static str {
+        match a.check_invariants() {
+            Err(SimError::Invariant(why)) => why,
+            other => panic!("corruption not rejected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn check_invariants_rejects_a_doctored_run_entry() {
+        let mut a = corruptible();
+        *a.runs_by_addr.get_mut(&4).unwrap() = 59;
+        assert_eq!(rejection(&a), "run index out of sync with order_of");
+        let mut a = corruptible();
+        let len = a.runs_by_addr.remove(&65).unwrap();
+        a.runs_by_addr.insert(66, len);
+        assert_eq!(rejection(&a), "run index out of sync with order_of");
+    }
+
+    #[test]
+    fn check_invariants_rejects_a_missing_or_extra_run() {
+        let mut a = corruptible();
+        a.runs_by_addr.remove(&1);
+        assert_eq!(rejection(&a), "run index out of sync with order_of");
+        let mut a = corruptible();
+        a.runs_by_addr.remove(&65);
+        assert_eq!(rejection(&a), "run index out of sync with order_of");
+        let mut a = corruptible();
+        a.runs_by_addr.insert(2000, 1);
+        assert_eq!(rejection(&a), "run index out of sync with order_of");
+    }
+
+    #[test]
+    fn check_invariants_rejects_an_off_size_count() {
+        let mut a = corruptible();
+        *a.runs_by_size.get_mut(&60).unwrap() += 1;
+        assert_eq!(rejection(&a), "size index out of sync with run map");
+        let mut a = corruptible();
+        a.runs_by_size.remove(&2);
+        assert_eq!(rejection(&a), "size index out of sync with run map");
+        let mut a = corruptible();
+        a.runs_by_size.insert(7, 1);
+        assert_eq!(rejection(&a), "size index out of sync with run map");
+    }
+
+    #[test]
+    fn check_invariants_rejects_off_block_counts() {
+        let mut a = corruptible();
+        a.counts[4] += 1;
+        assert_eq!(rejection(&a), "per-order block counts out of sync");
+        let mut a = corruptible();
+        a.free_frames += 1;
+        assert_eq!(rejection(&a), "free frame accounting mismatch");
+    }
+
+    #[test]
+    fn check_invariants_rejects_a_min_start_above_the_true_minimum() {
+        let mut a = corruptible();
+        // Frame 1 is an order-0 block (its buddy, frame 0, is held): the
+        // true minimum for order 0.
+        assert_eq!(a.order_of[1], 0);
+        a.min_start[0] = 1000;
+        assert_eq!(rejection(&a), "min-start hint above true minimum");
+    }
+
+    #[test]
+    fn check_invariants_rejects_unmerged_buddies() {
+        let mut a = BuddyAllocator::new(1024);
+        // Split the single order-10 block into two order-9 halves and
+        // keep the books consistent otherwise.
+        a.order_of[0] = 9;
+        a.order_of[512] = 9;
+        a.counts[10] -= 1;
+        a.counts[9] += 2;
+        assert_eq!(rejection(&a), "unmerged free buddies");
     }
 
     #[test]

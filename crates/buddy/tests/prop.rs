@@ -199,6 +199,64 @@ fn bulk_update_rebuild_equals_incremental_maintenance() {
 }
 
 #[test]
+fn sorted_frame_free_equals_bulk_free_singles() {
+    // On a randomly fragmented allocator, freeing a random set of
+    // allocated frames through the live index (`free_sorted_frames`)
+    // and through the bulk rebuild (`free_singles` under `bulk_update`)
+    // must leave the same runs, per-order counts and free-frame count.
+    let mut seeds = DetRng::new(0xB0DD_1E07);
+    for _ in 0..CASES {
+        let mut rng = seeds.fork();
+        let num_frames = rng.range(512, 8192);
+        let mut a = BuddyAllocator::new(num_frames);
+        let mut live: Vec<(u64, u32)> = Vec::new();
+        for _ in 0..rng.range(1, 300) {
+            match random_op(&mut rng, num_frames) {
+                Op::Alloc(order) => {
+                    if let Ok(start) = a.alloc(order) {
+                        live.push((start, order));
+                    }
+                }
+                Op::AllocAt { frame, order } => {
+                    if frame + (1 << order) <= num_frames && a.alloc_at(frame, order).is_ok() {
+                        live.push((frame, order));
+                    }
+                }
+                Op::FreeIdx(i) => {
+                    if !live.is_empty() {
+                        let (start, order) = live.swap_remove(i % live.len());
+                        a.free(start, order).unwrap();
+                    }
+                }
+            }
+        }
+        // Release a random share of the allocated frames, in stretches
+        // as well as isolated frames.
+        let density = rng.unit();
+        let frames: Vec<u64> = (0..num_frames)
+            .filter(|&f| !a.is_frame_free(f))
+            .filter(|_| rng.chance(density))
+            .collect();
+        let mut incremental = a.clone();
+        let mut bulk = a;
+        incremental.free_sorted_frames(&frames).unwrap();
+        bulk.bulk_update(|b| b.free_singles(&frames)).unwrap();
+        incremental.check_invariants().unwrap();
+        bulk.check_invariants().unwrap();
+        assert_eq!(incremental.free_runs(), bulk.free_runs());
+        assert_eq!(incremental.free_area_counts(), bulk.free_area_counts());
+        for o in 0..=MAX_ORDER {
+            assert_eq!(
+                incremental.free_blocks_of_order(o),
+                bulk.free_blocks_of_order(o),
+                "order {o} block counts differ"
+            );
+        }
+        assert_eq!(incremental.free_frames(), bulk.free_frames());
+    }
+}
+
+#[test]
 fn free_everything_restores_pristine_state() {
     let mut seeds = DetRng::new(0xB0DD_1E02);
     for _ in 0..CASES {

@@ -213,22 +213,22 @@ impl<L: Layer> LayerEngine<L> {
     /// its touch counters. Returns the number of base-page-equivalent
     /// frames returned to the allocator.
     ///
-    /// The whole release runs under one [`BuddyAllocator::bulk_update`]
-    /// so the persistent free-run index is rebuilt once from a rescan
-    /// instead of being patched per frame — teardown of a large VM is a
-    /// single index rebuild, and the rebuilt index is byte-identical to
-    /// the rescan by construction.
+    /// Huge leaves are freed as order-9 blocks, then the base frames, in
+    /// address order, through [`BuddyAllocator::free_sorted_frames`],
+    /// with the free-run index maintained as it goes. Teardown therefore
+    /// costs O(frames the VM held), independent of the allocator's size,
+    /// and the end state is the one freeing frame by frame would reach.
     pub fn unregister_vm(&mut self, vm: VmId) -> Result<u64, SimError> {
         let table = self.tables.remove(&vm).ok_or(SimError::UnknownVm(vm))?;
         let huge: Vec<u64> = table.iter_huge().map(|(_, pa_huge)| pa_huge).collect();
-        let base: Vec<u64> = table.iter_base().map(|(_, pa)| pa).collect();
+        let mut base: Vec<u64> = table.iter_base().map(|(_, pa)| pa).collect();
+        base.sort_unstable();
         let freed = (huge.len() as u64) * (1u64 << HUGE_PAGE_ORDER) + base.len() as u64;
-        self.buddy.bulk_update(|b| -> Result<(), SimError> {
-            for pa_huge in huge {
-                b.free(pa_huge << HUGE_PAGE_ORDER, HUGE_PAGE_ORDER)?;
-            }
-            b.free_singles(&base)
-        })?;
+        for pa_huge in huge {
+            self.buddy
+                .free(pa_huge << HUGE_PAGE_ORDER, HUGE_PAGE_ORDER)?;
+        }
+        self.buddy.free_sorted_frames(&base)?;
         self.touches.remove(&vm);
         self.drain_buddy_work();
         Ok(freed)

@@ -418,13 +418,14 @@ impl Machine {
     }
 
     /// Current virtual time of a VM.
-    pub fn vm_clock(&self, vm: VmId) -> Cycles {
-        self.vms[&vm].clock
+    pub fn vm_clock(&self, vm: VmId) -> Result<Cycles> {
+        Ok(self.vms.get(&vm).ok_or(SimError::UnknownVm(vm))?.clock)
     }
 
     /// The MMU counters of a VM.
-    pub fn counters(&self, vm: VmId) -> PerfCounters {
-        *self.vms[&vm].mmu.counters()
+    pub fn counters(&self, vm: VmId) -> Result<PerfCounters> {
+        let vs = self.vms.get(&vm).ok_or(SimError::UnknownVm(vm))?;
+        Ok(*vs.mmu.counters())
     }
 
     /// Closed-form batching statistics summed over all live VMs.
@@ -481,13 +482,11 @@ impl Machine {
         queue: Vec<FleetArrival<S>>,
         cap_frames: u64,
     ) -> Result<Driven> {
-        if let Some(&(vm, _)) = passed.iter().find(|(vm, _)| !self.vms.contains_key(vm)) {
-            return Err(SimError::UnknownVm(vm));
-        }
+        // Every passed VM is validated before any state is touched.
         let mut live: Vec<Resident<S>> = (0u32..)
             .zip(passed)
             .map(|(ordinal, (vm, gen))| self.resident(ordinal, vm, None, gen))
-            .collect();
+            .collect::<Result<_>>()?;
         let mut pending: std::collections::VecDeque<FleetArrival<S>> = queue.into();
         let mut parked = Vec::new();
         let mut out = Driven::default();
@@ -510,7 +509,7 @@ impl Machine {
                 self.vms.get_mut(&vm).expect("just added").clock = now;
                 admitted_frames += a.footprint_frames;
                 out.churn_events += 1;
-                live.push(self.resident(a.index, vm, Some(a.footprint_frames), a.gen));
+                live.push(self.resident(a.index, vm, Some(a.footprint_frames), a.gen)?);
                 out.peak_resident = out.peak_resident.max(live.len());
             }
             let Some(idx) =
@@ -567,16 +566,16 @@ impl Machine {
         vm: VmId,
         footprint: Option<u64>,
         gen: S,
-    ) -> Resident<S> {
+    ) -> Result<Resident<S>> {
         let ctx = RunCtx {
             latencies: LatencySamples::new(),
             req_acc: Cycles::ZERO,
             track_latency: gen.spec().latency_tracked,
-            counters_at_start: self.counters(vm),
-            clock_at_start: self.vm_clock(vm),
+            counters_at_start: self.counters(vm)?,
+            clock_at_start: self.vm_clock(vm)?,
             ops: 0,
         };
-        Resident {
+        Ok(Resident {
             ordinal,
             vm,
             footprint,
@@ -586,7 +585,7 @@ impl Machine {
             exhausted: false,
             ctx,
             wakeup: Cycles::ZERO,
-        }
+        })
     }
 
     /// The earliest future cycle at which [`Self::run_daemons`] has due
@@ -829,17 +828,19 @@ impl Machine {
     /// The teardown unwinds every layer the VM touched: guest VMAs go
     /// through the same `munmap` path a workload exit takes (so guest
     /// policy bookkeeping stays consistent), the EPT is torn down with
-    /// every host frame returned to the machine allocator through one
-    /// free-run-index bulk update, the VM's TLB slab and host `TouchMap`
-    /// slot are dropped, and — under Gemini — its per-VM scan is retired
-    /// from the shared runtime state. Callers that cache a daemon wakeup
-    /// deadline (the fleet driver) must recompute it after membership
-    /// changes.
+    /// every host frame freed into the machine allocator's live
+    /// free-run index (work proportional to the VM's frames, not the
+    /// host's), the VM's TLB slab and host `TouchMap` slot are dropped,
+    /// and — under Gemini — its per-VM scan is retired from the shared
+    /// runtime state. Callers that cache a daemon wakeup deadline (the
+    /// fleet driver) must recompute it after membership changes.
     ///
-    /// Every teardown runs an explicit leak check: the frames the EPT
-    /// held must exactly match what the allocator got back, and the
-    /// buddy's full invariants (free-frame accounting, block layout,
-    /// index == rescan) must hold afterwards.
+    /// Every teardown runs an explicit leak check, in release builds
+    /// too: the frames the EPT held must exactly match what the
+    /// allocator got back, and the buddy's full invariants (free-frame
+    /// accounting, block layout, run index == the runs the blocks form)
+    /// must hold afterwards — one O(host frames) pass over the block
+    /// map.
     pub fn remove_vm(&mut self, vm: VmId) -> Result<u64> {
         let _setup = self.prof.span(Phase::Setup);
         self.clear_workload(vm)?;

@@ -7,7 +7,9 @@
 //! create/run/destroy interleavings against that promise: after every
 //! departure the buddy invariants (including index == rescan) must
 //! hold, survivors must keep running, and a fully drained host must be
-//! byte-identical to a freshly built one.
+//! byte-identical to a freshly built one. A second leg churns VMs on a
+//! fragmented host, where freed frames merge into a scattered
+//! allocator, and a work-counter guard pins teardown to O(VM frames).
 
 use gemini_sim_core::{DetRng, VmId};
 use gemini_vm_sim::{FleetArrival, Machine, MachineConfig, SystemKind};
@@ -52,38 +54,58 @@ fn assert_buddy_consistent(m: &Machine) {
     );
 }
 
+/// `small_cfg` with the host pre-fragmented: pinned frames scatter the
+/// allocator, so departures merge freed frames into many short runs.
+/// The tenant-churn daemon takes no frames, so every frame a drained
+/// host holds is one the fragmenter pinned.
+fn fragmented_cfg() -> MachineConfig {
+    MachineConfig {
+        fragment_host: Some(0.6),
+        tenant_breaks: 0,
+        ..small_cfg()
+    }
+}
+
+/// Drives a DetRng-seeded create/run/destroy interleaving on a machine
+/// built from `cfg`, checking the buddy after every departure, and
+/// returns the machine with the VMs still resident.
+fn churn(system: SystemKind, cfg: MachineConfig, seed: u64) -> (Machine, Vec<VmId>) {
+    let mut m = Machine::new(system, cfg);
+    let mut rng = DetRng::new(seed);
+    let mut live: Vec<VmId> = Vec::new();
+    let mut lifecycles = 0u32;
+    for _ in 0..24 {
+        let create = live.len() < 2 || (live.len() < 5 && rng.chance(0.5));
+        if create {
+            let vm = m.add_vm().expect("host has room at this scale");
+            let name = NAMES[rng.below(NAMES.len() as u64) as usize];
+            let ops = 120 + rng.below(240);
+            m.run(vm, gen_for(name, ops, rng.below(1 << 20)))
+                .expect("workload runs");
+            live.push(vm);
+        } else {
+            let vm = live.swap_remove(rng.below(live.len() as u64) as usize);
+            let freed = m.remove_vm(vm).expect("teardown succeeds");
+            assert!(freed > 0, "a VM that ran a workload held frames");
+            assert_buddy_consistent(&m);
+            lifecycles += 1;
+        }
+    }
+    assert!(lifecycles >= 5, "sequence exercised real churn");
+    // Survivors are untouched by their neighbours' teardowns: each
+    // keeps accepting work on the same machine.
+    for &vm in &live {
+        m.run(vm, gen_for("Redis", 80, 9)).expect("survivor runs");
+    }
+    (m, live)
+}
+
 #[test]
 fn random_churn_is_leak_free_and_drains_to_a_fresh_host() {
     for system in SYSTEMS {
         for seed in [3u64, 17, 1009] {
             let cfg = small_cfg();
-            let mut m = Machine::new(system, cfg.clone());
-            let mut rng = DetRng::new(seed);
-            let mut live: Vec<VmId> = Vec::new();
-            let mut lifecycles = 0u32;
-            for _ in 0..24 {
-                let create = live.len() < 2 || (live.len() < 5 && rng.chance(0.5));
-                if create {
-                    let vm = m.add_vm().expect("host has room at this scale");
-                    let name = NAMES[rng.below(NAMES.len() as u64) as usize];
-                    let ops = 120 + rng.below(240);
-                    m.run(vm, gen_for(name, ops, rng.below(1 << 20)))
-                        .expect("workload runs");
-                    live.push(vm);
-                } else {
-                    let vm = live.swap_remove(rng.below(live.len() as u64) as usize);
-                    let freed = m.remove_vm(vm).expect("teardown succeeds");
-                    assert!(freed > 0, "a VM that ran a workload held frames");
-                    assert_buddy_consistent(&m);
-                    lifecycles += 1;
-                }
-            }
-            assert!(lifecycles >= 5, "sequence exercised real churn");
-            // Survivors are untouched by their neighbours' teardowns:
-            // each keeps accepting work on the same machine.
-            for &vm in &live {
-                m.run(vm, gen_for("Redis", 80, 9)).expect("survivor runs");
-            }
+            let (mut m, mut live) = churn(system, cfg.clone(), seed);
             // Drain the host completely: every frame is back and the
             // buddy is byte-identical to a freshly built machine's —
             // free frame count, free-run list, invariants.
@@ -104,6 +126,70 @@ fn random_churn_is_leak_free_and_drains_to_a_fresh_host() {
             );
         }
     }
+}
+
+#[test]
+fn random_churn_on_a_fragmented_host_is_leak_free() {
+    // Freed frames merge into a scattered allocator here. The drained
+    // host keeps the fragmenter's pinned frames, so its free-frame count
+    // is compared with a freshly fragmented host's. The layouts are not
+    // compared: host compaction may have moved pinned frames.
+    for system in SYSTEMS {
+        for seed in [5u64, 29] {
+            let cfg = fragmented_cfg();
+            let (mut m, live) = churn(system, cfg.clone(), seed);
+            for vm in live {
+                m.remove_vm(vm).expect("drain teardown succeeds");
+                assert_buddy_consistent(&m);
+            }
+            let fresh = Machine::new(system, cfg);
+            assert_eq!(
+                m.host_mm().buddy.free_frames(),
+                fresh.host_mm().buddy.free_frames(),
+                "{system:?}/seed {seed}: churned fragmented host leaked frames"
+            );
+        }
+    }
+}
+
+#[test]
+fn teardown_index_work_scales_with_the_vm_not_the_host() {
+    // Deterministic complexity guard: the run-index updates one EPT
+    // teardown adds are bounded by the host frames it freed, and far
+    // below the number of runs a fragmented host holds. Rebuilding the
+    // whole index would re-insert every run.
+    let cfg = MachineConfig {
+        host_frames: 1 << 17,
+        trace: gemini_obs::TraceConfig::all(),
+        ..fragmented_cfg()
+    };
+    let mut m = Machine::new(SystemKind::Thp, cfg);
+    let vm = m.add_vm().unwrap();
+    m.run(vm, gen_for("Redis", 40, 11)).unwrap();
+    let index_updates = |m: &Machine| {
+        m.recorder()
+            .registry()
+            .counters()
+            .into_iter()
+            .find(|&(name, _)| name == "buddy.index_updates")
+            .map_or(0, |(_, v)| v)
+    };
+    // Unmap the guest side first: its frees count against the same
+    // counter, and this guard is about the host allocator.
+    m.clear_workload(vm).unwrap();
+    let runs = m.host_mm().buddy.free_runs().len() as u64;
+    let before = index_updates(&m);
+    let freed = m.remove_vm(vm).unwrap();
+    let added = index_updates(&m) - before;
+    // Each freed block moves at most three index entries.
+    assert!(
+        added <= 3 * freed,
+        "{added} index updates for {freed} freed frames"
+    );
+    assert!(
+        added * 10 < runs,
+        "{added} index updates against {runs} host runs"
+    );
 }
 
 #[test]

@@ -7,8 +7,10 @@
 //!    they did before `GuestMm`/`HostMm` were rebuilt on `LayerEngine`,
 //!    at `jobs = 1` and `jobs = N` alike, and the fig. 17/18 collocated
 //!    pair renders exactly as it did before the three `Machine` driver
-//!    loops became one scheduler (DESIGN.md §14). The goldens under
-//!    `tests/golden/` were captured from the pre-refactor trees;
+//!    loops became one scheduler (DESIGN.md §14), and the fleet grid
+//!    renders exactly as it did before VM teardown freed frames
+//!    incrementally instead of rebuilding the host allocator. The
+//!    goldens under `tests/golden/` were captured from the pre-refactor trees;
 //!    regenerate deliberately with `GEMINI_BLESS=1` after an
 //!    *intentional* behaviour change.
 //! 2. **Layer parity** — the same `HugePolicy` driven through the guest
@@ -16,7 +18,7 @@
 //!    fault/touch trace produces identical effects, promotion counts and
 //!    fragmentation indices (the two layers are one mechanism).
 
-use gemini_harness::experiments::{clean_slate, collocated, motivation};
+use gemini_harness::experiments::{clean_slate, collocated, fleet, motivation};
 use gemini_harness::{trace, Scale};
 
 /// Worker-thread count for the `jobs = N` leg (`GEMINI_JOBS`, default 4).
@@ -82,6 +84,30 @@ fn collocated_artifacts(jobs: usize) -> (String, String) {
             let row = trace::result_json(r);
             let full = gemini_obs::json_str(&format!("{r:?}"));
             format!("{},\"full\":{full}}}", &row[..row.len() - 1])
+        })
+        .collect();
+    (text, json.join("\n") + "\n")
+}
+
+/// Renders the fleet table plus every host's `FleetOutcome` and sampled
+/// series in full: the table rounds FMFI and aligned rates, so it alone
+/// would hide a drifted per-VM counter, reclaimed-frame count or
+/// end-state block count. One JSON line per host, in grid order.
+fn fleet_artifacts(jobs: usize) -> (String, String) {
+    let res = fleet::run(&golden_scale(jobs)).expect("fleet grid runs");
+    let text = res.render();
+    let json: Vec<String> = res
+        .runs
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"system\":{},\"host\":{},\"planned_vms\":{},\"full\":{},\"samples\":{}}}",
+                gemini_obs::json_str(r.system),
+                r.host,
+                r.planned_vms,
+                gemini_obs::json_str(&format!("{:?}", r.outcome)),
+                gemini_obs::json_str(&format!("{:?}", r.samples))
+            )
         })
         .collect();
     (text, json.join("\n") + "\n")
@@ -248,6 +274,15 @@ fn collocated_pair_is_byte_identical_to_single_driver_golden() {
         let (text, json) = collocated_artifacts(jobs);
         assert_golden("collocated.txt", &text);
         assert_golden("collocated.jsonl", &json);
+    }
+}
+
+#[test]
+fn fleet_grid_is_byte_identical_to_bulk_teardown_golden() {
+    for jobs in [1, jobs_n()] {
+        let (text, json) = fleet_artifacts(jobs);
+        assert_golden("fleet.txt", &text);
+        assert_golden("fleet.jsonl", &json);
     }
 }
 

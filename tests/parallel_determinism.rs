@@ -172,7 +172,21 @@ fn unknown_vm_is_an_error_not_a_panic() {
         m.run_collocated(vec![(vm, gen(2)), (bogus, gen(3))]),
         Err(gemini_sim_core::SimError::UnknownVm(v)) if v == bogus
     ));
-    assert_eq!(m.vm_clock(vm), gemini_sim_core::Cycles::ZERO, "no step ran");
+    assert_eq!(
+        m.vm_clock(vm).unwrap(),
+        gemini_sim_core::Cycles::ZERO,
+        "no step ran"
+    );
+    // The per-VM accessors report an unknown VM instead of panicking.
+    assert!(matches!(
+        m.vm_clock(bogus),
+        Err(gemini_sim_core::SimError::UnknownVm(v)) if v == bogus
+    ));
+    assert!(matches!(
+        m.counters(bogus),
+        Err(gemini_sim_core::SimError::UnknownVm(v)) if v == bogus
+    ));
+    assert_eq!(m.counters(vm).unwrap().accesses, 0, "no access ran");
     // The registered VM still resolves and runs.
     assert!(m.ept(vm).is_ok());
     assert_eq!(m.run(vm, gen(4)).unwrap().ops, 50);
