@@ -25,11 +25,11 @@ echo "== layer parity + golden byte-identity (GEMINI_JOBS=2) =="
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test layer_parity
 
 echo "== fast-forward + batching parity (GEMINI_JOBS=2) =="
-# DESIGN.md §13, §14 and §16: every registry scenario with fast-forward
-# on vs off AND with hit-run batching on vs off, the reused-VM chain,
-# the seed × workload sweep, a collocated pair, the fleet lifecycle
-# grid at jobs 1/2/4, and a recorded-trace replay through both batch
-# settings — all must produce byte-identical RunResults.
+# DESIGN.md §13, §14 and §16: every registry scenario on the fast path
+# (fast-forward + hit-run batching) vs --no-ff (faithful, no batching),
+# the reused-VM chain, the seed × workload sweep, a collocated pair,
+# the fleet lifecycle grid at jobs 1/2/4, and a recorded-trace replay
+# through both paths — all must produce byte-identical RunResults.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test ff_parity
 
 echo "== VM lifecycle churn properties (GEMINI_JOBS=2) =="
@@ -47,11 +47,11 @@ BIN=target/release/gemini-sim
 cargo build --release --offline -q -p gemini-harness --bin gemini-sim
 
 echo "== end-to-end fast-path parity (gemini-sim parity, GEMINI_JOBS=2) =="
-# The CLI parity mode runs the default (fast-forward + batching),
-# --no-batch and --no-ff paths back-to-back and diffs the results — a
+# The CLI parity mode runs the default (fast-forward + batching) and
+# --no-ff (faithful, no batching) paths back-to-back and diffs the results — a
 # user-facing smoke test on top of the ff_parity suite.
 GEMINI_JOBS=2 "$BIN" parity --workload Redis --scale quick --fragmented --jobs 2 > /dev/null
-echo "parity: default / --no-batch / --no-ff identical (registry + fleet hosts)"
+echo "parity: default / --no-ff identical (registry + fleet hosts)"
 
 echo "== fleet lifecycle smoke (demo scale, GEMINI_JOBS=2) =="
 # The long-horizon arrival/departure scenario end to end: >= 100 VM

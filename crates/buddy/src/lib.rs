@@ -111,40 +111,59 @@ pub struct BuddyAllocator {
     /// Work counter: run-map mutations (inserts + removes) since the
     /// last [`BuddyAllocator::take_work_counters`].
     index_updates: Cell<u64>,
-    /// False only inside [`BuddyAllocator::bulk_update`], where per-op
-    /// index maintenance is suspended and the index rebuilt once at the
-    /// end. Queries must not run while false.
-    index_live: bool,
 }
 
 impl BuddyAllocator {
     /// Creates an allocator managing frames `[0, num_frames)`, all free.
     pub fn new(num_frames: u64) -> Self {
+        Self::with_allocated(num_frames, &[]).expect("an empty frame list is valid")
+    }
+
+    /// Creates an allocator managing frames `[0, num_frames)` with exactly
+    /// the single frames in `allocated` allocated and every other frame
+    /// free — the state any sequence of single-frame allocations and
+    /// frees leaving that set would reach.
+    ///
+    /// Each free gap between allocated frames is carved greedily into
+    /// maximal aligned blocks and indexed as one free run. Eager merging
+    /// gives every free-frame set exactly one block decomposition, and
+    /// the greedy carve is it. `allocated` must be sorted ascending and
+    /// unique ([`SimError::Invariant`] otherwise) and lie inside the range
+    /// ([`SimError::OutOfRange`] otherwise).
+    pub fn with_allocated(num_frames: u64, allocated: &[u64]) -> Result<Self, SimError> {
+        if allocated.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(SimError::Invariant(
+                "allocated frames must be sorted and unique",
+            ));
+        }
+        if allocated.last().is_some_and(|&f| f >= num_frames) {
+            return Err(SimError::OutOfRange);
+        }
         let mut alloc = Self {
             order_of: vec![NO_BLOCK; num_frames as usize],
             counts: vec![0; (MAX_ORDER + 1) as usize],
             min_start: vec![0; (MAX_ORDER + 1) as usize],
             total_frames: num_frames,
-            free_frames: 0,
+            free_frames: num_frames - allocated.len() as u64,
             runs_by_addr: BTreeMap::new(),
             runs_by_size: BTreeMap::new(),
             run_probes: Cell::new(0),
             index_updates: Cell::new(0),
-            index_live: true,
         };
-        // Carve the range greedily into maximal aligned blocks.
-        let mut frame = 0u64;
-        while frame < num_frames {
-            let order = carve_order(frame, num_frames);
-            alloc.insert_free(frame, order);
-            frame += 1 << order;
+        let mut gap_start = 0u64;
+        for gap_end in allocated.iter().copied().chain([num_frames]) {
+            if gap_end > gap_start {
+                let mut frame = gap_start;
+                while frame < gap_end {
+                    let order = carve_order(frame, gap_end);
+                    alloc.insert_free(frame, order);
+                    frame += 1 << order;
+                }
+                alloc.index_insert(gap_start, gap_end - gap_start);
+            }
+            gap_start = gap_end + 1;
         }
-        alloc.free_frames = num_frames;
-        // The carved blocks all abut: the whole range is one free run.
-        if num_frames > 0 {
-            alloc.index_insert(0, num_frames);
-        }
-        alloc
+        Ok(alloc)
     }
 
     /// Total number of frames managed.
@@ -190,108 +209,12 @@ impl BuddyAllocator {
         Ok(start)
     }
 
-    /// Allocates every free frame as a single frame, returning them in the
-    /// exact order repeated [`BuddyAllocator::alloc`]`(0)` calls would:
-    /// free blocks sorted by `(order, start)`, each block's frames
-    /// ascending. `alloc` always takes the lowest block of the smallest
-    /// non-empty order, and the remainders of a split are smaller than
-    /// every other block — so a block, once started, drains completely
-    /// (ascending) before any other is touched, and blocks begin in
-    /// `(order, start)` order. One O(frames) pass replaces O(frames)
-    /// `alloc` calls with their per-call split bookkeeping.
-    ///
-    /// Only callable inside [`BuddyAllocator::bulk_update`] (the
-    /// fragmenter's whole-memory grab), where index maintenance is
-    /// suspended; debug builds assert this.
-    pub fn drain_singles(&mut self) -> Vec<u64> {
-        debug_assert!(!self.index_live, "drain_singles outside bulk_update");
-        let mut blocks: Vec<(u32, u64)> = Vec::new();
-        for start in 0..self.total_frames {
-            let marker = self.order_of[start as usize];
-            if marker != NO_BLOCK {
-                blocks.push((marker as u32, start));
-            }
-        }
-        blocks.sort_unstable();
-        let mut out = Vec::with_capacity(self.free_frames as usize);
-        for &(order, start) in &blocks {
-            self.order_of[start as usize] = NO_BLOCK;
-            self.counts[order as usize] -= 1;
-            out.extend(start..start + (1u64 << order));
-        }
-        self.free_frames = 0;
-        out
-    }
-
-    /// Frees `frames` (single frames, any order, no duplicates) in one
-    /// pass, producing the same end state as freeing them one at a time.
-    ///
-    /// Eager merging makes the block decomposition of a given free-frame
-    /// set unique: two same-order free buddies never coexist, which forces
-    /// every free frame into the largest aligned block that is entirely
-    /// free. The order frees happen in therefore cannot matter, and the
-    /// greedy carve used by [`BuddyAllocator::new`] reconstructs exactly
-    /// that decomposition run by run — without the per-free merge chain
-    /// and overlap scan.
-    ///
-    /// Only callable inside [`BuddyAllocator::bulk_update`] (the
-    /// fragmenter's release of unpinned frames), where index maintenance
-    /// is suspended; debug builds assert this. It rebuilds the whole
-    /// block layout, so it pays only when most of memory changes at
-    /// once; freeing a few frames into a live allocator is
-    /// [`BuddyAllocator::free_sorted_frames`].
-    pub fn free_singles(&mut self, frames: &[u64]) -> Result<(), SimError> {
-        debug_assert!(!self.index_live, "free_singles outside bulk_update");
-        // Expand current free blocks plus the new singles into a bitmap.
-        let n = self.total_frames as usize;
-        let mut free = vec![false; n];
-        for start in 0..n {
-            let marker = self.order_of[start];
-            if marker != NO_BLOCK {
-                for f in free[start..start + (1usize << marker)].iter_mut() {
-                    *f = true;
-                }
-            }
-        }
-        for &f in frames {
-            if f >= self.total_frames || free[f as usize] {
-                return Err(SimError::BadFree(gemini_sim_core::Hpa::from_frame(f)));
-            }
-            free[f as usize] = true;
-        }
-        // Rebuild the canonical decomposition from scratch.
-        self.order_of.fill(NO_BLOCK);
-        self.counts.fill(0);
-        let mut frame = 0usize;
-        while frame < n {
-            if !free[frame] {
-                frame += 1;
-                continue;
-            }
-            let mut end = frame;
-            while end < n && free[end] {
-                end += 1;
-            }
-            // Greedy carve of the run into maximal aligned blocks.
-            let mut pos = frame as u64;
-            while pos < end as u64 {
-                let order = carve_order(pos, end as u64);
-                self.insert_free(pos, order);
-                pos += 1 << order;
-            }
-            frame = end;
-        }
-        self.free_frames += frames.len() as u64;
-        Ok(())
-    }
-
-    /// Frees single base frames with the run index live, producing the
-    /// same end state as [`BuddyAllocator::free_singles`] under
-    /// [`BuddyAllocator::bulk_update`] — in time proportional to the
-    /// frames freed, not to the managed range.
+    /// Frees single base frames, producing the same end state as freeing
+    /// them one at a time, in time proportional to the frames freed, not
+    /// to the managed range.
     ///
     /// Each stretch of consecutive frames is carved into maximal aligned
-    /// blocks (the greedy carve of [`BuddyAllocator::new`]), and each
+    /// blocks (the greedy carve of [`BuddyAllocator::with_allocated`]), and each
     /// block goes through [`BuddyAllocator::free`]. Eager merging gives
     /// every free-frame set exactly one block decomposition, and the run
     /// index is a function of that set, so the result does not depend on
@@ -448,7 +371,6 @@ impl BuddyAllocator {
     /// `Vec`, so searches that stop at the first fit (next-fit placement)
     /// touch only the runs they examine.
     pub fn free_runs_iter(&self) -> FreeRuns<'_> {
-        debug_assert!(self.index_live, "query inside bulk_update");
         FreeRuns {
             inner: self.runs_by_addr.range(..),
         }
@@ -460,7 +382,6 @@ impl BuddyAllocator {
     /// below it) is excluded, matching
     /// `free_runs().filter(|r| r.0 >= frame)`.
     pub fn free_runs_from(&self, frame: u64) -> FreeRuns<'_> {
-        debug_assert!(self.index_live, "query inside bulk_update");
         FreeRuns {
             inner: self.runs_by_addr.range(frame..),
         }
@@ -491,7 +412,6 @@ impl BuddyAllocator {
     /// Length of the largest maximal free run, in frames. O(log runs)
     /// off the size-ordered index.
     pub fn largest_free_run(&self) -> u64 {
-        debug_assert!(self.index_live, "query inside bulk_update");
         self.runs_by_size
             .last_key_value()
             .map(|(&len, _)| len)
@@ -560,7 +480,6 @@ impl BuddyAllocator {
     /// Number of free runs holding at least `min_len` frames. O(answers)
     /// off the size-ordered index.
     pub fn count_runs_at_least(&self, min_len: u64) -> u64 {
-        debug_assert!(self.index_live, "query inside bulk_update");
         self.runs_by_size.range(min_len..).map(|(_, &c)| c).sum()
     }
 
@@ -568,7 +487,6 @@ impl BuddyAllocator {
     /// holding at least `min_len` frames — the indexed replacement for
     /// collecting a filtered `Vec` and subscripting it.
     pub fn nth_run_at_least(&self, min_len: u64, n: u64) -> Option<(u64, u64)> {
-        debug_assert!(self.index_live, "query inside bulk_update");
         let mut seen = 0u64;
         for (&start, &rlen) in self.runs_by_addr.iter() {
             self.run_probes.set(self.run_probes.get() + 1);
@@ -580,35 +498,6 @@ impl BuddyAllocator {
             }
         }
         None
-    }
-
-    /// Runs `f` with per-operation index maintenance suspended, then
-    /// rebuilds the run index once from an `order_of` rescan.
-    ///
-    /// For bulk churn — e.g. the fragmenter, which allocates every frame
-    /// singly and frees most of them back — per-op maintenance costs
-    /// O(ops x log runs) in `BTreeMap` traffic while the net effect is
-    /// one O(frames) layout. Suspending and rebuilding makes the setup
-    /// cost independent of the number of intermediate operations. The
-    /// rebuilt index is identical to what incremental maintenance would
-    /// have produced (both equal the rescan), so results are unchanged.
-    ///
-    /// The rebuild costs O(frames) however little `f` changes, so only
-    /// the fragmenter uses it; VM teardown frees through
-    /// [`BuddyAllocator::free_sorted_frames`] with the index live.
-    ///
-    /// Queries (`free_runs*`, `first_*`, `largest_free_run`, ...) must
-    /// not be called from inside `f`; debug builds assert this.
-    pub fn bulk_update<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.index_live = false;
-        self.runs_by_addr.clear();
-        self.runs_by_size.clear();
-        let out = f(self);
-        for (start, len) in self.free_runs_rescan() {
-            self.index_insert(start, len);
-        }
-        self.index_live = true;
-        out
     }
 
     /// Drains the deterministic work counters accumulated since the last
@@ -769,9 +658,6 @@ impl BuddyAllocator {
     /// keeps its start (tail or middle carve) the left remainder shrinks
     /// in place; only a head carve moves the key.
     fn index_allocate_range(&mut self, start: u64, len: u64) {
-        if !self.index_live {
-            return;
-        }
         let end = start + len;
         let (run_start, run_len) = {
             let (&run_start, run_len) = self
@@ -806,9 +692,6 @@ impl BuddyAllocator {
     /// predecessor's key and grows it in place — the common case under
     /// sequential frees.
     fn index_free_range(&mut self, start: u64, len: u64) {
-        if !self.index_live {
-            return;
-        }
         let right_len = self.runs_by_addr.get(&(start + len)).copied();
         if let Some(next_len) = right_len {
             self.index_remove(start + len, next_len);
@@ -994,80 +877,35 @@ mod tests {
     }
 
     #[test]
-    fn drain_singles_matches_repeated_alloc() {
-        // From a fresh odd-sized carve and from an arbitrary punched-out
-        // state, the bulk drain must emit the same sequence as looping
-        // `alloc(0)` until exhaustion.
-        for punch in [&[][..], &[3, 17, 100, 701, 702, 998][..]] {
-            let mut via_loop = BuddyAllocator::new(1000);
-            let mut via_drain = BuddyAllocator::new(1000);
-            for &f in punch {
-                via_loop.alloc_at(f, 0).unwrap();
-                via_drain.alloc_at(f, 0).unwrap();
-            }
-            let looped = via_loop.bulk_update(|b| {
-                let mut v = Vec::new();
-                while let Ok(f) = b.alloc(0) {
-                    v.push(f);
-                }
-                v
-            });
-            let drained = via_drain.bulk_update(|b| b.drain_singles());
-            assert_eq!(looped, drained);
-            assert_eq!(via_drain.free_frames(), 0);
-            via_drain.check_invariants().unwrap();
+    fn new_is_with_allocated_of_nothing() {
+        for n in [0, 1, 777, 1000, 4096] {
+            let built = BuddyAllocator::with_allocated(n, &[]).unwrap();
+            built.check_invariants().unwrap();
+            assert_eq!(
+                format!("{built:?}"),
+                format!("{:?}", BuddyAllocator::new(n))
+            );
         }
     }
 
     #[test]
-    fn free_singles_matches_sequential_frees() {
-        // Drain everything, then free a pseudo-random subset: the bulk
-        // path must land on the same block decomposition as one-at-a-time
-        // frees in any order (here: the shuffled order itself).
-        let mut seq = BuddyAllocator::new(1000);
-        let mut bulk = BuddyAllocator::new(1000);
-        let mut released: Vec<u64> = Vec::new();
-        let mut x = 12345u64;
-        seq.bulk_update(|b| {
-            while let Ok(f) = b.alloc(0) {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if x % 3 != 0 {
-                    released.push(f);
-                }
-            }
-            for &f in &released {
-                b.free(f, 0).unwrap();
-            }
-        });
-        bulk.bulk_update(|b| {
-            b.drain_singles();
-            b.free_singles(&released).unwrap();
-        });
-        assert_eq!(seq.free_frames(), bulk.free_frames());
-        assert_eq!(seq.free_runs(), bulk.free_runs());
-        for o in 0..=MAX_ORDER {
-            assert_eq!(
-                seq.free_blocks_of_order(o),
-                bulk.free_blocks_of_order(o),
-                "order {o} block counts differ"
-            );
-        }
-        bulk.check_invariants().unwrap();
-        // Double-free and out-of-range are rejected.
-        let mut b = BuddyAllocator::new(64);
-        b.bulk_update(|b| {
-            let got = b.drain_singles();
-            assert_eq!(got.len(), 64);
-            b.free_singles(&[5]).unwrap();
-            assert!(b.free_singles(&[5]).is_err());
-            assert!(b.free_singles(&[64]).is_err());
-            b.free_singles(&(0..64).filter(|&f| f != 5).collect::<Vec<_>>())
-                .unwrap();
-        });
-        b.check_invariants().unwrap();
-        assert_eq!(b.free_runs(), vec![(0, 64)]);
+    fn with_allocated_rejects_unsorted_duplicate_and_out_of_range_frames() {
+        assert!(matches!(
+            BuddyAllocator::with_allocated(64, &[9, 3]),
+            Err(SimError::Invariant(_))
+        ));
+        assert!(matches!(
+            BuddyAllocator::with_allocated(64, &[3, 3]),
+            Err(SimError::Invariant(_))
+        ));
+        assert!(matches!(
+            BuddyAllocator::with_allocated(64, &[3, 64]),
+            Err(SimError::OutOfRange)
+        ));
+        let a = BuddyAllocator::with_allocated(64, &[0, 5, 63]).unwrap();
+        a.check_invariants().unwrap();
+        assert_eq!(a.free_runs(), vec![(1, 4), (6, 57)]);
+        assert_eq!(a.used_frames(), 3);
     }
 
     #[test]

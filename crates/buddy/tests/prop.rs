@@ -151,59 +151,48 @@ fn run_index_matches_rescan_after_arbitrary_interleavings() {
     }
 }
 
-#[test]
-fn bulk_update_rebuild_equals_incremental_maintenance() {
-    // Replaying the same op sequence incrementally and inside one
-    // `bulk_update` (index suspended, rebuilt from rescan at the end)
-    // must leave identical allocators and identical indexes.
-    fn apply(a: &mut BuddyAllocator, ops: &[Op]) {
-        let mut live: Vec<(u64, u32)> = Vec::new();
-        for op in ops {
-            match *op {
-                Op::Alloc(order) => {
-                    if let Ok(start) = a.alloc(order) {
-                        live.push((start, order));
-                    }
-                }
-                Op::AllocAt { frame, order } => {
-                    if frame + (1 << order) <= a.total_frames() && a.alloc_at(frame, order).is_ok()
-                    {
-                        live.push((frame, order));
-                    }
-                }
-                Op::FreeIdx(i) => {
-                    if !live.is_empty() {
-                        let (start, order) = live.swap_remove(i % live.len());
-                        a.free(start, order).unwrap();
-                    }
-                }
-            }
-        }
+/// Asserts two allocators agree on every observable of their free
+/// memory: runs, per-order block counts and free frames.
+fn assert_same_free_memory(a: &BuddyAllocator, b: &BuddyAllocator) {
+    assert_eq!(a.free_runs(), b.free_runs());
+    assert_eq!(a.free_area_counts(), b.free_area_counts());
+    for o in 0..=MAX_ORDER {
+        assert_eq!(
+            a.free_blocks_of_order(o),
+            b.free_blocks_of_order(o),
+            "order {o} block counts differ"
+        );
     }
-    let mut seeds = DetRng::new(0xB0DD_1E06);
+    assert_eq!(a.free_frames(), b.free_frames());
+}
+
+#[test]
+fn with_allocated_equals_single_frame_allocations() {
+    // Building an allocator with a random frame set allocated must match
+    // a fresh allocator that allocates those frames one `alloc_at` at a
+    // time, at every density from a few frames to nearly all of memory.
+    let mut seeds = DetRng::new(0xB0DD_1E08);
     for _ in 0..CASES {
         let mut rng = seeds.fork();
-        let num_frames = rng.range(512, 4096);
-        let n_ops = rng.range(1, 150);
-        let ops: Vec<Op> = (0..n_ops)
-            .map(|_| random_op(&mut rng, num_frames))
-            .collect();
-        let mut incremental = BuddyAllocator::new(num_frames);
-        let mut bulk = BuddyAllocator::new(num_frames);
-        apply(&mut incremental, &ops);
-        bulk.bulk_update(|b| apply(b, &ops));
-        assert_eq!(incremental.free_runs(), bulk.free_runs());
-        assert_eq!(incremental.used_frames(), bulk.used_frames());
-        bulk.check_invariants().unwrap();
+        let num_frames = rng.range(1, 8192);
+        let density = rng.unit();
+        let frames: Vec<u64> = (0..num_frames).filter(|_| rng.chance(density)).collect();
+        let built = BuddyAllocator::with_allocated(num_frames, &frames).unwrap();
+        let mut stepped = BuddyAllocator::new(num_frames);
+        for &f in &frames {
+            stepped.alloc_at(f, 0).unwrap();
+        }
+        built.check_invariants().unwrap();
+        assert_same_free_memory(&built, &stepped);
     }
 }
 
 #[test]
-fn sorted_frame_free_equals_bulk_free_singles() {
+fn sorted_frame_free_equals_with_allocated_remainder() {
     // On a randomly fragmented allocator, freeing a random set of
     // allocated frames through the live index (`free_sorted_frames`)
-    // and through the bulk rebuild (`free_singles` under `bulk_update`)
-    // must leave the same runs, per-order counts and free-frame count.
+    // must leave the same runs, per-order counts and free-frame count
+    // as an allocator built with only the frames still allocated.
     let mut seeds = DetRng::new(0xB0DD_1E07);
     for _ in 0..CASES {
         let mut rng = seeds.fork();
@@ -233,26 +222,13 @@ fn sorted_frame_free_equals_bulk_free_singles() {
         // Release a random share of the allocated frames, in stretches
         // as well as isolated frames.
         let density = rng.unit();
-        let frames: Vec<u64> = (0..num_frames)
+        let (frames, kept): (Vec<u64>, Vec<u64>) = (0..num_frames)
             .filter(|&f| !a.is_frame_free(f))
-            .filter(|_| rng.chance(density))
-            .collect();
-        let mut incremental = a.clone();
-        let mut bulk = a;
-        incremental.free_sorted_frames(&frames).unwrap();
-        bulk.bulk_update(|b| b.free_singles(&frames)).unwrap();
-        incremental.check_invariants().unwrap();
-        bulk.check_invariants().unwrap();
-        assert_eq!(incremental.free_runs(), bulk.free_runs());
-        assert_eq!(incremental.free_area_counts(), bulk.free_area_counts());
-        for o in 0..=MAX_ORDER {
-            assert_eq!(
-                incremental.free_blocks_of_order(o),
-                bulk.free_blocks_of_order(o),
-                "order {o} block counts differ"
-            );
-        }
-        assert_eq!(incremental.free_frames(), bulk.free_frames());
+            .partition(|_| rng.chance(density));
+        a.free_sorted_frames(&frames).unwrap();
+        a.check_invariants().unwrap();
+        let rebuilt = BuddyAllocator::with_allocated(num_frames, &kept).unwrap();
+        assert_same_free_memory(&a, &rebuilt);
     }
 }
 

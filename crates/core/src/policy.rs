@@ -1291,7 +1291,7 @@ mod tests {
         let (mut g, mut p) = guest_with_policy();
         // Fragmented memory forces EMA base placement.
         let mut rng = gemini_sim_core::DetRng::new(11);
-        gemini_mm::fragment_to(g.buddy_mut(), 0.9, 0.3, &mut rng);
+        *g.buddy_mut() = gemini_mm::fragmented(g.buddy().total_frames(), 0.3, &mut rng).0;
         let vma = g.mmap(2 * HUGE_PAGE_SIZE).unwrap();
         let (first, _) = g.handle_fault(vma.start_frame(), &mut p).unwrap();
         // Steal the next target frame.

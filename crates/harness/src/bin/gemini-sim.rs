@@ -22,10 +22,6 @@
 //!   --no-ff                         disable the fast-forward core: step every
 //!                                   event faithfully (results are identical;
 //!                                   this only costs wall time)
-//!   --no-batch                      disable closed-form hit-run batching:
-//!                                   probe the TLB for every access of a
-//!                                   hit-only run (results are identical;
-//!                                   this only costs wall time)
 //!   --fragmented                    pre-fragment guest and host memory
 //!   --reused                        run after an SVM predecessor in the same VM
 //!   --json <path>                   export results (and any trace) as JSON Lines
@@ -48,10 +44,10 @@
 //! replays the same trace on the worker pool (`--jobs`), which
 //! requires `--trace FILE` (stdin cannot be re-read).
 //!
-//! `parity` runs every registry scenario three ways — the default,
-//! `--no-batch` and `--no-ff` — and fails unless each set of results is
-//! byte-identical, counters included. It then replays one fleet host
-//! per lifecycle system the same way, covering create/destroy churn.
+//! `parity` runs every registry scenario two ways — the default and
+//! `--no-ff` — and fails unless the results are byte-identical,
+//! counters included. It then runs one fleet host per lifecycle system
+//! the same way, covering create/destroy churn.
 //!
 //! `fleet` drives the long-horizon VM arrival/departure scenario: a
 //! deterministic plan first-fit packed onto simulated hosts, each host
@@ -104,24 +100,12 @@ fn usage() -> ExitCode {
         "usage: gemini-sim <list|run|compare|trace|record|replay|parity|fleet|profile>\n\
          \x20                [--system NAME] [--workload NAME]\n\
          \x20                [--scale quick|demo|bench|full] [--ops N] [--seed N] [--jobs N]\n\
-         \x20                [--no-ff] [--no-batch] [--fragmented] [--reused] [--json PATH]\n\
+         \x20                [--no-ff] [--fragmented] [--reused] [--json PATH]\n\
          \x20 record/replay: [--trace PATH]   (record writes, default stdout;\n\
          \x20                                  replay reads, default stdin)\n\
          \x20 profile only:  [--profile TRACE.json]"
     );
     ExitCode::from(2)
-}
-
-/// Resolves a scale preset by name; used both for `--scale` and for
-/// the scale hint a trace header carries.
-fn scale_by_name(name: &str) -> Option<Scale> {
-    match name {
-        "quick" => Some(Scale::quick()),
-        "demo" => Some(Scale::demo()),
-        "bench" => Some(Scale::bench()),
-        "full" => Some(Scale::full()),
-        _ => None,
-    }
 }
 
 fn parse(args: &[String]) -> Result<Opts, String> {
@@ -147,7 +131,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
     let mut jobs: Option<usize> = None;
     let mut ops: Option<u64> = None;
     let mut no_ff = false;
-    let mut no_batch = false;
     let mut i = 1;
     while i < args.len() {
         let take = |i: &mut usize| -> Result<String, String> {
@@ -165,7 +148,7 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             "--scale" => {
                 let name = take(&mut i)?;
                 opts.scale =
-                    scale_by_name(&name).ok_or_else(|| format!("unknown scale '{name}'"))?;
+                    Scale::by_name(&name).ok_or_else(|| format!("unknown scale '{name}'"))?;
                 opts.scale_name = name;
                 opts.scale_explicit = true;
             }
@@ -173,7 +156,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             "--trace" => opts.trace_path = Some(PathBuf::from(take(&mut i)?)),
             "--profile" => opts.profile = Some(PathBuf::from(take(&mut i)?)),
             "--no-ff" => no_ff = true,
-            "--no-batch" => no_batch = true,
             "--fragmented" => opts.fragmented = true,
             "--reused" => opts.reused = true,
             other => return Err(format!("unknown flag '{other}'")),
@@ -187,7 +169,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         opts.scale.ops = o;
     }
     opts.scale.no_ff = no_ff;
-    opts.scale.no_batch = no_batch;
     Ok(opts)
 }
 
@@ -438,18 +419,17 @@ fn cmd_record(opts: &Opts) -> Result<(), String> {
 
 /// The machine sizing for a replay: the caller's explicit `--scale`
 /// wins; otherwise the header's scale hint is resolved, keeping the
-/// command line's `--jobs`/`--no-ff`/`--no-batch` (which live on
+/// command line's `--jobs`/`--no-ff` (which live on
 /// `Scale` but are orthogonal to sizing). Fragmentation is the union:
 /// the header hint or an explicit `--fragmented`.
 fn replay_scale(opts: &Opts, header: &TraceHeader) -> (Scale, String, bool) {
     let mut scale = opts.scale;
     let mut name = opts.scale_name.clone();
     if !opts.scale_explicit {
-        if let Some(s) = scale_by_name(&header.scale) {
+        if let Some(s) = Scale::by_name(&header.scale) {
             scale = s;
             scale.jobs = opts.scale.jobs;
             scale.no_ff = opts.scale.no_ff;
-            scale.no_batch = opts.scale.no_batch;
             name = header.scale.clone();
         } else {
             eprintln!(
@@ -559,26 +539,23 @@ fn cmd_replay(opts: &Opts) -> Result<(), String> {
     export_json(opts, &rows)
 }
 
-/// Runs every registry scenario three ways — the default (fast-forward
-/// plus closed-form hit-run batching), `--no-batch`, and `--no-ff` —
-/// and fails unless all three results are byte-identical: the full
-/// `RunResult` (every MMU counter, alignment stat and latency figure)
-/// and the JSON export line must match exactly. This is the executable
-/// form of both fast-path invariants: eliding provably-quiescent daemon
-/// passes (DESIGN.md §12) and advancing provably hit-only access runs
-/// in closed form (DESIGN.md §16) may never change simulated state.
+/// Runs every registry scenario two ways — the default (fast-forward
+/// plus closed-form hit-run batching) and `--no-ff`, which steps every
+/// event through the faithful path and so batches nothing — and fails
+/// unless both results are byte-identical: the full `RunResult` (every
+/// MMU counter, alignment stat and latency figure) and the JSON export
+/// line must match exactly. This is the executable form of both
+/// fast-path invariants: eliding provably-quiescent daemon passes
+/// (DESIGN.md §12) and advancing provably hit-only access runs in
+/// closed form (DESIGN.md §16) may never change simulated state.
 fn cmd_parity(opts: &Opts) -> Result<(), String> {
     let name = opts.workload.as_deref().unwrap_or("Redis");
     let spec = spec_by_name(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
     let progress = Recorder::new(&TraceConfig::all());
-    let mut batched_scale = opts.scale;
-    batched_scale.no_ff = false;
-    batched_scale.no_batch = false;
-    let mut nobatch_scale = batched_scale;
-    nobatch_scale.no_batch = true;
-    let mut faithful_scale = batched_scale;
+    let mut fast_scale = opts.scale;
+    fast_scale.no_ff = false;
+    let mut faithful_scale = fast_scale;
     faithful_scale.no_ff = true;
-    faithful_scale.no_batch = true;
     let cells: Vec<_> = gemini_vm_sim::REGISTRY
         .iter()
         .map(|(system, sspec)| {
@@ -588,13 +565,10 @@ fn cmd_parity(opts: &Opts) -> Result<(), String> {
                     run_workload_on(*system, &spec, scale, opts.fragmented, opts.seed)
                         .map_err(|e| format!("{}: simulation failed: {e}", sspec.label))
                 };
-                let batched = run(&batched_scale)?;
-                let nobatch = run(&nobatch_scale)?;
+                let fast = run(&fast_scale)?;
                 let faithful = run(&faithful_scale)?;
-                let identical = format!("{batched:?}") == format!("{faithful:?}")
-                    && format!("{batched:?}") == format!("{nobatch:?}")
-                    && trace::result_json(&batched) == trace::result_json(&faithful)
-                    && trace::result_json(&batched) == trace::result_json(&nobatch);
+                let identical = format!("{fast:?}") == format!("{faithful:?}")
+                    && trace::result_json(&fast) == trace::result_json(&faithful);
                 Ok((sspec.label, identical))
             }
         })
@@ -613,7 +587,7 @@ fn cmd_parity(opts: &Opts) -> Result<(), String> {
         }
     }
     // Lifecycle leg: one fleet host per system through the full
-    // create/run/destroy churn path, again all three ways. The whole
+    // create/run/destroy churn path, again both ways. The whole
     // `HostRun` Debug form is compared, so per-VM results, churn
     // counters, end state and the sampled series must all match.
     for &system in &gemini_harness::experiments::fleet::SYSTEMS {
@@ -621,11 +595,8 @@ fn cmd_parity(opts: &Opts) -> Result<(), String> {
             gemini_harness::experiments::fleet::run_host(system, scale, 0)
                 .map_err(|e| format!("{}: fleet host failed: {e}", system.label()))
         };
-        let batched = run(&batched_scale)?;
-        let nobatch = run(&nobatch_scale)?;
-        let faithful = run(&faithful_scale)?;
-        let identical = format!("{batched:?}") == format!("{faithful:?}")
-            && format!("{batched:?}") == format!("{nobatch:?}");
+        let identical =
+            format!("{:?}", run(&fast_scale)?) == format!("{:?}", run(&faithful_scale)?);
         let label = format!("fleet/{}", system.label());
         println!(
             "  {:<16} {}",
@@ -645,7 +616,7 @@ fn cmd_parity(opts: &Opts) -> Result<(), String> {
     }
     eprintln!(
         "parity: {} scenarios on {}{} plus {} fleet hosts byte-identical across \
-         default / --no-batch / --no-ff",
+         default / --no-ff",
         gemini_vm_sim::REGISTRY.len(),
         name,
         scenario_suffix(opts),
@@ -815,16 +786,6 @@ mod tests {
         assert_eq!(after.scale.jobs, 3);
         assert!(before.scale.no_ff);
         assert!(after.scale.no_ff);
-    }
-
-    #[test]
-    fn no_batch_survives_scale_in_either_order() {
-        let before = parse_ok(&["run", "--no-batch", "--scale", "quick"]);
-        let after = parse_ok(&["run", "--scale", "quick", "--no-batch"]);
-        assert!(before.scale.no_batch);
-        assert!(after.scale.no_batch);
-        // Default stays off: batching is opt-out.
-        assert!(!parse_ok(&["run"]).scale.no_batch);
     }
 
     #[test]

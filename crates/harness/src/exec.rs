@@ -74,53 +74,11 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let n = cells.len();
-    rec.counter_add("exec.cells_submitted", n as u64);
-    let jobs = effective_jobs(jobs).min(n.max(1));
-    if jobs <= 1 {
-        return cells
-            .into_iter()
-            .map(|(_, cell)| {
-                let result = cell();
-                rec.counter_add("exec.cells_finished", 1);
-                result
-            })
-            .collect();
-    }
-    let mut queued: Vec<(u64, (usize, F))> = cells
+    let cells = cells
         .into_iter()
-        .enumerate()
-        .map(|(idx, (hint, cell))| (hint, (idx, cell)))
+        .map(|(hint, cell)| (hint, move |_: &Profiler| cell()))
         .collect();
-    // LPT dispatch order: largest hint first, submission order on ties
-    // (stable sort keeps equal-hint cells FIFO).
-    queued.sort_by_key(|cell| std::cmp::Reverse(cell.0));
-    let queue: Mutex<VecDeque<(usize, F)>> =
-        Mutex::new(queued.into_iter().map(|(_, cell)| cell).collect());
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                // Pop under the lock, run outside it: cells are the
-                // expensive part and must not serialize.
-                let next = queue.lock().unwrap().pop_front();
-                let Some((idx, cell)) = next else {
-                    break;
-                };
-                let result = cell();
-                *slots[idx].lock().unwrap() = Some(result);
-                rec.counter_add("exec.cells_finished", 1);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock cannot be poisoned after join")
-                .expect("every queued cell stores its result")
-        })
-        .collect()
+    run_cells_profiled(jobs, rec, &Profiler::off(), cells)
 }
 
 /// Like [`run_cells_hinted`], but with per-worker span profiling: each
@@ -134,7 +92,8 @@ where
 ///
 /// The sequential path (`jobs <= 1`) runs every cell on one fork
 /// (worker 0), which is what makes jobs=1 traces reproducible under a
-/// deterministic clock.
+/// deterministic clock. [`run_cells_hinted`] is this pool with the off
+/// profiler.
 pub fn run_cells_profiled<T, F>(
     jobs: usize,
     rec: &Recorder,
@@ -166,6 +125,8 @@ where
         .enumerate()
         .map(|(idx, (hint, cell))| (hint, (idx, cell)))
         .collect();
+    // LPT dispatch order: largest hint first, submission order on ties
+    // (stable sort keeps equal-hint cells FIFO).
     queued.sort_by_key(|cell| std::cmp::Reverse(cell.0));
     let queue: Mutex<VecDeque<(usize, F)>> =
         Mutex::new(queued.into_iter().map(|(_, cell)| cell).collect());
@@ -173,6 +134,8 @@ where
     std::thread::scope(|scope| {
         for wprof in &forks {
             scope.spawn(|| loop {
+                // Pop under the lock, run outside it: cells are the
+                // expensive part and must not serialize.
                 let next = {
                     let _exec = wprof.span(Phase::Executor);
                     queue.lock().unwrap().pop_front()

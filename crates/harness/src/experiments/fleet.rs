@@ -113,18 +113,16 @@ fn run_host_cell(
     resident_cap_frames: u64,
     seed: u64,
 ) -> Result<HostRun> {
-    // Moderately fragmented hosts, clean guests: the multi-tenant
-    // cloud the paper models keeps *host* memory fragmented around the
-    // churning VMs (tenant-churn daemon active), while each arriving
-    // VM boots a fresh guest — its guest-side fragmentation is what
-    // the lifecycle produces, not an injected precondition. A
-    // clean-slate fleet this small never pressures the allocator and
-    // samples a flat-zero FMFI series; the full `frag_target` (0.9)
-    // instead starves both systems of order-9 blocks for these short
-    // lifetimes. Two-thirds of the target leaves the allocator
-    // genuinely contended but recoverable.
+    // Fragmented hosts, clean guests: the multi-tenant cloud the paper
+    // models keeps *host* memory fragmented around the churning VMs
+    // (tenant-churn daemon active), while each arriving VM boots a
+    // fresh guest — its guest-side fragmentation is what the lifecycle
+    // produces, not an injected precondition. A clean-slate fleet this
+    // small never pressures the allocator and samples a flat-zero FMFI
+    // series. A fragmented host starts with no free order-9 block;
+    // host compaction re-forms them as pinned frames migrate down.
     let mut cfg = scale.machine_config(false, false, seed);
-    cfg.fragment_host = Some(scale.frag_target * 2.0 / 3.0);
+    cfg.fragment_host = Some(crate::scale::PAPER_FMFI_TARGET);
     // Sampling-only tracing: no event ring, just the time series the
     // fleet exists to produce. Samples are taken at virtual-time
     // boundaries, so the series is byte-identical at any --jobs. The
@@ -166,15 +164,6 @@ impl FleetResults {
     /// Total churn events (arrivals + departures) across the grid.
     pub fn total_churn_events(&self) -> u64 {
         self.runs.iter().map(|r| r.outcome.churn_events).sum()
-    }
-
-    /// Mean end-state host FMFI across one system's hosts.
-    pub fn end_fmfi(&self, system: &str) -> f64 {
-        let hosts: Vec<&HostRun> = self.runs.iter().filter(|r| r.system == system).collect();
-        if hosts.is_empty() {
-            return 0.0;
-        }
-        hosts.iter().map(|r| r.outcome.end_host_fmfi).sum::<f64>() / hosts.len() as f64
     }
 
     /// Renders the per-host fleet table plus a per-system summary of

@@ -9,6 +9,12 @@
 use gemini_sim_core::derive_seed;
 use gemini_vm_sim::MachineConfig;
 
+/// The `MachineConfig::fragment_*` value of fragmented runs: the
+/// paper's FMFI target (§6.1). The machine only checks that it is
+/// positive; the fragmenter pins one frame in every huge region, which
+/// leaves the FMFI near 1 whatever the target.
+pub(crate) const PAPER_FMFI_TARGET: f64 = 0.9;
+
 /// A coherent set of sizing knobs for one experiment run.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
@@ -20,8 +26,6 @@ pub struct Scale {
     pub host_frames: u64,
     /// Guest physical frames per VM.
     pub vm_frames: u64,
-    /// FMFI target for the "fragmented" variants.
-    pub frag_target: f64,
     /// Base seed; experiments derive per-run seeds from it.
     pub seed: u64,
     /// Worker threads for experiment grids: 0 = available parallelism,
@@ -35,11 +39,6 @@ pub struct Scale {
     /// this escape hatch exists so the parity suite (and a suspicious
     /// user) can prove that claim on any cell; it only costs wall time.
     pub no_ff: bool,
-    /// Disables closed-form hit-run batching (`--no-batch`): every
-    /// access in a hit-only run steps through the faithful TLB probe
-    /// path (DESIGN.md §16). Results are byte-identical with batching
-    /// on or off — same contract and same purpose as `no_ff`.
-    pub no_batch: bool,
 }
 
 impl Scale {
@@ -50,11 +49,9 @@ impl Scale {
             ops: 2_500,
             host_frames: 1 << 16, // 256 MiB.
             vm_frames: 1 << 15,   // 128 MiB.
-            frag_target: 0.9,
             seed: 42,
             jobs: 0,
             no_ff: false,
-            no_batch: false,
         }
     }
 
@@ -70,11 +67,9 @@ impl Scale {
             ops: 8_000,
             host_frames: 1 << 18, // 1 GiB.
             vm_frames: 1 << 17,   // 512 MiB.
-            frag_target: 0.9,
             seed: 42,
             jobs: 0,
             no_ff: false,
-            no_batch: false,
         }
     }
 
@@ -87,11 +82,9 @@ impl Scale {
             ops: 8_000,
             host_frames: 1 << 18, // 1 GiB.
             vm_frames: 1 << 17,   // 512 MiB.
-            frag_target: 0.9,
             seed: 42,
             jobs: 0,
             no_ff: false,
-            no_batch: false,
         }
     }
 
@@ -102,23 +95,28 @@ impl Scale {
             ops: 20_000,
             host_frames: 1 << 19, // 2 GiB.
             vm_frames: 1 << 18,   // 1 GiB.
-            frag_target: 0.9,
             seed: 42,
             jobs: 0,
             no_ff: false,
-            no_batch: false,
         }
     }
 
-    /// Reads `GEMINI_SCALE` (`quick` | `bench` | `full`; defaults to
-    /// `bench`) and `GEMINI_JOBS` (worker threads for experiment
-    /// cells; `0` = available parallelism).
+    /// The preset called `name`: `quick`, `demo`, `bench` or `full`.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "quick" => Some(Self::quick()),
+            "demo" => Some(Self::demo()),
+            "bench" => Some(Self::bench()),
+            "full" => Some(Self::full()),
+            _ => None,
+        }
+    }
+
+    /// Reads `GEMINI_SCALE` (a preset name for [`Scale::by_name`];
+    /// defaults to `bench`) and `GEMINI_JOBS` (worker threads for
+    /// experiment cells; `0` = available parallelism).
     pub fn from_env() -> Self {
-        let mut scale = match std::env::var("GEMINI_SCALE").as_deref() {
-            Ok("quick") => Self::quick(),
-            Ok("full") => Self::full(),
-            _ => Self::bench(),
-        };
+        let mut scale = preset_or_bench(std::env::var("GEMINI_SCALE").ok().as_deref());
         if let Ok(jobs) = std::env::var("GEMINI_JOBS") {
             if let Some(jobs) = parse_jobs(&jobs) {
                 scale.jobs = jobs;
@@ -132,12 +130,11 @@ impl Scale {
         MachineConfig {
             host_frames: self.host_frames,
             vm_frames: self.vm_frames,
-            fragment_guest: fragmented.then_some(self.frag_target),
-            fragment_host: fragmented.then_some(self.frag_target),
+            fragment_guest: fragmented.then_some(PAPER_FMFI_TARGET),
+            fragment_host: fragmented.then_some(PAPER_FMFI_TARGET),
             zero_heavy,
             seed,
             no_ff: self.no_ff,
-            no_batch: self.no_batch,
             ..MachineConfig::default()
         }
     }
@@ -149,11 +146,10 @@ impl Scale {
             host_frames: self.host_frames * 2,
             vm_frames: self.vm_frames,
             vcpus: 16,
-            fragment_guest: Some(self.frag_target),
-            fragment_host: Some(self.frag_target),
+            fragment_guest: Some(PAPER_FMFI_TARGET),
+            fragment_host: Some(PAPER_FMFI_TARGET),
             seed,
             no_ff: self.no_ff,
-            no_batch: self.no_batch,
             ..MachineConfig::default()
         }
     }
@@ -168,6 +164,19 @@ impl Scale {
     pub fn seed_for(&self, tag: &str, index: u64) -> u64 {
         derive_seed(self.seed, tag, index)
     }
+}
+
+/// Interprets the `GEMINI_SCALE` value, if set: a preset name, or the
+/// `bench` default. An unknown name gets a stderr warning instead of a
+/// silent fallback, as in [`parse_jobs`].
+fn preset_or_bench(raw: Option<&str>) -> Scale {
+    let Some(name) = raw else {
+        return Scale::bench();
+    };
+    Scale::by_name(name).unwrap_or_else(|| {
+        eprintln!("warning: GEMINI_SCALE={name:?} is not quick, demo, bench or full; using bench");
+        Scale::bench()
+    })
 }
 
 /// Interprets one `GEMINI_JOBS` value: `Some(n)` applies `n` (`0`
@@ -221,13 +230,25 @@ mod tests {
     }
 
     #[test]
-    fn no_batch_propagates_to_both_machine_configs() {
-        let mut s = Scale::quick();
-        assert!(!s.machine_config(false, false, 1).no_batch);
-        assert!(!s.collocated_config(1).no_batch);
-        s.no_batch = true;
-        assert!(s.machine_config(false, false, 1).no_batch);
-        assert!(s.collocated_config(1).no_batch);
+    fn scale_names_resolve_and_unknown_names_fall_back_to_bench() {
+        for (name, preset) in [
+            ("quick", Scale::quick()),
+            ("demo", Scale::demo()),
+            ("bench", Scale::bench()),
+            ("full", Scale::full()),
+        ] {
+            let by_name = Scale::by_name(name).expect("preset name");
+            assert_eq!(format!("{by_name:?}"), format!("{preset:?}"));
+            let env = preset_or_bench(Some(name));
+            assert_eq!(format!("{env:?}"), format!("{preset:?}"), "{name}");
+        }
+        let bench = format!("{:?}", Scale::bench());
+        assert_eq!(format!("{:?}", preset_or_bench(None)), bench);
+        // Each of these warns, then keeps the default.
+        for unknown in ["qiuck", "", "Quick", "galactic"] {
+            assert!(Scale::by_name(unknown).is_none(), "{unknown:?}");
+            assert_eq!(format!("{:?}", preset_or_bench(Some(unknown))), bench);
+        }
     }
 
     #[test]

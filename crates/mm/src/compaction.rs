@@ -87,9 +87,7 @@ mod tests {
 
     #[test]
     fn compaction_recreates_huge_blocks() {
-        let mut buddy = BuddyAllocator::new(16384);
-        let mut rng = DetRng::new(1);
-        let pins = crate::frag::fragment_to(&mut buddy, 0.9, 0.12, &mut rng);
+        let (mut buddy, pins) = crate::frag::fragmented(16384, 0.12, &mut DetRng::new(1));
         assert_eq!(buddy.free_blocks_of_order(HUGE_PAGE_ORDER), 0);
         let mut c = Compactor::new(pins);
         let suitable =
@@ -140,9 +138,7 @@ mod tests {
 
     #[test]
     fn release_all_returns_everything() {
-        let mut buddy = BuddyAllocator::new(2048);
-        let mut rng = DetRng::new(5);
-        let pins = crate::frag::fragment_to(&mut buddy, 0.9, 0.1, &mut rng);
+        let (mut buddy, pins) = crate::frag::fragmented(2048, 0.1, &mut DetRng::new(5));
         let mut c = Compactor::new(pins);
         c.release_all(&mut buddy);
         assert_eq!(c.pinned(), 0);

@@ -36,7 +36,7 @@ pub use aligned::{alignment_stats, AlignmentStats};
 pub use compaction::Compactor;
 pub use costs::CostModel;
 pub use engine::{FaultSite, Layer, LayerEngine, LayerParts};
-pub use frag::{fragment_to, TenantChurn};
+pub use frag::{fragmented, TenantChurn};
 pub use guest::{GuestLayer, GuestMm};
 pub use host::{HostLayer, HostMm};
 pub use policy::{

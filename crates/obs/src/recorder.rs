@@ -56,11 +56,6 @@ impl TraceConfig {
             sample_interval: Some(Cycles::from_millis(2.0)),
         }
     }
-
-    /// True when neither events nor samples would ever be recorded.
-    pub fn is_off(&self) -> bool {
-        self.mask == cat::NONE && self.sample_interval.is_none()
-    }
 }
 
 impl Default for TraceConfig {

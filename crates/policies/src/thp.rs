@@ -125,7 +125,7 @@ mod tests {
     fn fault_path_degrades_under_fragmentation() {
         let mut g = GuestMm::new(VmId(1), 4096, CostModel::default());
         let mut rng = gemini_sim_core::DetRng::new(5);
-        gemini_mm::fragment_to(g.buddy_mut(), 0.9, 0.1, &mut rng);
+        *g.buddy_mut() = gemini_mm::fragmented(4096, 0.1, &mut rng).0;
         let mut thp = LinuxThp::new();
         let vma = g.mmap(HUGE_PAGE_SIZE).unwrap();
         let (out, _) = g.handle_fault(vma.start_frame(), &mut thp).unwrap();

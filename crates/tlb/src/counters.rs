@@ -5,8 +5,6 @@
 //! Gemini booking-timeout controller (Algorithm 1) samples
 //! [`PerfCounters::stlb_misses`] deltas as its TLB-miss feedback signal.
 
-use gemini_sim_core::Cycles;
-
 /// Monotonic counters accumulated by [`crate::MmuSim`].
 ///
 /// These are part of every run's compared output (results, goldens, the
@@ -14,7 +12,7 @@ use gemini_sim_core::Cycles;
 /// them exactly as the faithful path would. Batching *observability*
 /// (how many runs took the fast path) therefore lives in
 /// [`crate::BatchStats`], not here: those numbers legitimately differ
-/// between a `--no-batch` leg and a batched leg and would break
+/// between a `--no-ff` leg (which batches nothing) and a batched leg and would break
 /// byte-identity if they were fields of this struct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
@@ -67,11 +65,6 @@ impl PerfCounters {
         } else {
             self.walk_mem_refs as f64 / self.stlb_misses as f64
         }
-    }
-
-    /// Total translation overhead as [`Cycles`].
-    pub fn translation_time(&self) -> Cycles {
-        Cycles(self.translation_cycles)
     }
 
     /// Difference `self - earlier`, for sampling deltas over a period.

@@ -25,9 +25,15 @@ pub struct MachineConfig {
     pub mmu: MmuConfig,
     /// Memory-management operation costs.
     pub costs: CostModel,
-    /// Fragment guest memory to this FMFI before the run.
+    /// Fragment each VM's guest memory before it runs. The value is an
+    /// FMFI target recorded for provenance; it only switches
+    /// fragmentation on (when positive). Fragmented memory always has
+    /// one frame pinned in every huge region plus 12% of memory held
+    /// (see [`gemini_mm::fragmented`]), and starts the tenant-churn
+    /// daemon.
     pub fragment_guest: Option<f64>,
-    /// Fragment host memory to this FMFI before the run.
+    /// Fragment host memory before the first VM arrives; the value only
+    /// switches fragmentation on, as for `fragment_guest`.
     pub fragment_host: Option<f64>,
     /// The workload keeps many zero pages in use (HawkEye's dedup).
     pub zero_heavy: bool,
@@ -71,14 +77,6 @@ pub struct MachineConfig {
     /// only elides work it can prove has no effect — so this exists for
     /// parity checks and debugging, not correctness.
     pub no_ff: bool,
-    /// Disables closed-form hit-run batching (the `--no-batch` escape
-    /// hatch): every access in a hit-only run steps through the faithful
-    /// TLB probe path instead of being advanced in closed form
-    /// (DESIGN.md §16). Like `no_ff`, results are byte-identical either
-    /// way — the batch path only elides per-access work the
-    /// deferred-stamp invariant proves is a no-op — so this exists for
-    /// parity checks, A/B timing and debugging.
-    pub no_batch: bool,
 }
 
 impl Default for MachineConfig {
@@ -107,7 +105,6 @@ impl Default for MachineConfig {
             trace: TraceConfig::off(),
             profiler: Profiler::off(),
             no_ff: false,
-            no_batch: false,
         }
     }
 }
@@ -286,7 +283,10 @@ impl Machine {
         let mut host_tenant = None;
         if let Some(target) = cfg.fragment_host {
             let mut frag_rng = rng.fork();
-            host_pins = gemini_mm::fragment_to(&mut host.buddy, target, 0.12, &mut frag_rng);
+            if target > 0.0 {
+                (host.buddy, host_pins) =
+                    gemini_mm::fragmented(cfg.host_frames, 0.12, &mut frag_rng);
+            }
             host_tenant = Some(gemini_mm::TenantChurn::new(rng.fork()));
         }
         let mut host_policy: Box<dyn HugePolicy> =
@@ -364,7 +364,10 @@ impl Machine {
         let mut tenant = None;
         if let Some(target) = self.cfg.fragment_guest {
             let mut frag_rng = self.rng.fork();
-            guest_pins = gemini_mm::fragment_to(guest.buddy_mut(), target, 0.12, &mut frag_rng);
+            if target > 0.0 {
+                (*guest.buddy_mut(), guest_pins) =
+                    gemini_mm::fragmented(self.cfg.vm_frames, 0.12, &mut frag_rng);
+            }
             tenant = Some(gemini_mm::TenantChurn::new(self.rng.fork()));
         }
         let mut policy: Box<dyn HugePolicy> = match (
@@ -430,8 +433,9 @@ impl Machine {
 
     /// Closed-form batching statistics summed over all live VMs.
     ///
-    /// Not part of [`RunResult`] on purpose: the batched and `--no-batch`
-    /// legs must stay byte-identical on every compared surface, and these
+    /// Not part of [`RunResult`] on purpose: the batched default and the
+    /// `--no-ff` leg (which batches nothing) must stay byte-identical on
+    /// every compared surface, and these
     /// numbers describe the fast path itself (see
     /// [`gemini_tlb::BatchStats`]).
     pub fn batch_stats(&self) -> BatchStats {
@@ -625,7 +629,6 @@ impl Machine {
     ) -> Result<()> {
         let touch_sample = self.cfg.touch_sample as u64;
         let data_access = Cycles(self.cfg.data_access_cycles);
-        let no_batch = self.cfg.no_batch;
         // Chunk-handle → VMA start-frame memo: valid while no slow-path
         // event runs (only events and daemons move VMAs, and neither
         // happens inside the tight loop below).
@@ -702,7 +705,7 @@ impl Machine {
                     // overhang only detects deadline truncation), and
                     // the 64-event chunk boundary — where daemon
                     // deadlines are re-checked — bounds `events`.
-                    if !no_batch && until_sample > 1 {
+                    if until_sample > 1 {
                         let window = &events[i..(i + until_sample as usize + 1).min(events.len())];
                         let run = if out.huge_entry {
                             let region = gva_frame >> HUGE_PAGE_ORDER;
@@ -1472,7 +1475,8 @@ mod tests {
     #[test]
     fn hit_run_batching_is_byte_identical_and_engages() {
         // The closed-form batch path must leave every compared surface
-        // of the result identical to the faithful per-access path, while
+        // of the result identical to the faithful `no_ff` path (which
+        // steps event by event and never batches), while
         // actually advancing a meaningful share of accesses in closed
         // form on a sequential workload (long same-region runs).
         // Streamcluster under THP: huge entries from the start, so the
@@ -1489,9 +1493,9 @@ mod tests {
             let spec = spec_by_name(wl)
                 .expect("catalog workload")
                 .scaled(1.0 / 32.0);
-            let run = |no_batch: bool| {
+            let run = |no_ff: bool| {
                 let cfg = MachineConfig {
-                    no_batch,
+                    no_ff,
                     fragment_host: frag,
                     ..small_cfg()
                 };
@@ -1506,7 +1510,7 @@ mod tests {
             assert_eq!(
                 off_stats,
                 gemini_tlb::BatchStats::default(),
-                "{wl}: --no-batch must keep the fast path cold"
+                "{wl}: --no-ff must keep the fast path cold"
             );
             // Every taken run elides at least two accesses.
             assert!(
@@ -1524,30 +1528,34 @@ mod tests {
     }
 
     #[test]
-    fn fleet_matches_no_batch_byte_identically() {
-        use gemini_workloads::{FleetPlan, FleetSpec};
-        let fleet = FleetSpec {
-            vm_count: 8,
-            hosts: 1,
-            host_frames: small_cfg().host_frames,
-            resident_frac: 0.25,
-            mean_ops: 60,
-            arrival_gap: 4,
-            ws_factor: 1.0 / 32.0,
-        };
-        let plan = FleetPlan::generate(&fleet, 33);
-        let run = |no_batch: bool| {
+    fn zero_fragment_target_leaves_memory_unfragmented() {
+        // A non-positive target switches the fragmenter off but, as a
+        // `Some`, still starts the tenant-churn daemon; any positive
+        // target fragments to the same layout.
+        let build = |target: f64| {
             let cfg = MachineConfig {
-                no_batch,
+                fragment_host: Some(target),
+                fragment_guest: Some(target),
                 ..small_cfg()
             };
-            let mut m = Machine::new(SystemKind::Gemini, cfg);
-            m.run_fleet(fleet_arrivals(&plan), plan.resident_cap_frames)
-                .unwrap()
+            let mut m = Machine::new(SystemKind::Thp, cfg);
+            let vm = m.add_vm().unwrap();
+            let guest_free = m.vms[&vm].guest.buddy().free_frames();
+            (
+                m.host.buddy.free_runs(),
+                guest_free,
+                m.host_tenant.is_some(),
+            )
         };
-        let batched = run(false);
-        let faithful = run(true);
-        assert_eq!(format!("{batched:?}"), format!("{faithful:?}"));
+        let (runs, guest_free, tenant) = build(0.0);
+        assert_eq!(runs, vec![(0, small_cfg().host_frames)]);
+        assert_eq!(guest_free, small_cfg().vm_frames);
+        assert!(tenant);
+        let (low, _, _) = build(0.1);
+        let (high, guest_free, _) = build(0.9);
+        assert_eq!(low, high, "the target does not shape the layout");
+        assert!(high.len() > 1);
+        assert!(guest_free < small_cfg().vm_frames);
     }
 
     #[test]

@@ -72,19 +72,6 @@ impl PregenStream {
     pub fn remaining(&self) -> usize {
         self.events.len()
     }
-
-    /// The not-yet-replayed tail of the stream, for lookahead without
-    /// consuming events.
-    pub fn peek_events(&self) -> &[WorkloadEvent] {
-        self.events.as_slice()
-    }
-
-    /// Length of the run of consecutive [`WorkloadEvent::Touch`] events
-    /// at the head of the stream that touch `chunk` and whose page
-    /// satisfies `same_key`. See [`touch_run_len`].
-    pub fn peek_run(&self, chunk: usize, same_key: impl FnMut(u64) -> bool) -> usize {
-        touch_run_len(self.peek_events(), chunk, same_key)
-    }
 }
 
 /// Length of the longest prefix of `events` consisting of `Touch` events
@@ -555,34 +542,5 @@ mod tests {
         let evs2 = [EndRequest { cpu: 10 }, Touch { chunk: 0, page: 8 }];
         assert_eq!(touch_run_len(&evs2, 0, |_| true), 0);
         assert_eq!(touch_run_len(&[], 0, |_| true), 0);
-    }
-
-    #[test]
-    fn peek_run_matches_the_consumed_stream() {
-        // peek_run must agree with what next_event subsequently yields,
-        // and must not consume anything.
-        let spec = small("Streamcluster");
-        let gen = WorkloadGen::new(spec, 40, 7);
-        let stream = gen.pregenerate();
-        let total = stream.remaining();
-        let head = stream.peek_events().first().copied();
-        if let Some(WorkloadEvent::Touch { chunk, page }) = head {
-            let run = stream.peek_run(chunk, |p| p == page);
-            let mut s = stream;
-            assert_eq!(s.remaining(), total, "peek must not consume");
-            for _ in 0..run {
-                assert_eq!(s.next_event(), Some(WorkloadEvent::Touch { chunk, page }));
-            }
-            let next = s.next_event();
-            assert_ne!(
-                next,
-                Some(WorkloadEvent::Touch { chunk, page }),
-                "run must be maximal"
-            );
-        } else {
-            // First event is an Alloc for every catalog spec; the run API
-            // must report zero there.
-            assert_eq!(stream.peek_run(0, |_| true), 0);
-        }
     }
 }

@@ -336,11 +336,6 @@ impl<W: Write> TraceWriter<W> {
         }
     }
 
-    /// Events written so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
     /// Writes the end marker, flushes, and returns the sink and the
     /// event count.
     pub fn finish(mut self) -> std::io::Result<(W, u64)> {

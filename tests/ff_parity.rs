@@ -6,11 +6,13 @@
 //! batching additionally advances counters, cost and the virtual clock
 //! over provably hit-only access runs without touching the TLB arrays.
 //! Neither shortcut is allowed to change *any* simulated state: this
-//! suite runs every scenario in the registry with each fast path on
+//! suite runs every scenario in the registry with the fast paths on
 //! and off — same DetRng-derived seeds, same workload stream — and
 //! requires the full `RunResult` (every MMU counter, alignment stat,
 //! latency figure and fragmentation index) to be byte-identical
-//! between the paths.
+//! between the paths. `no_ff` is the one faithful oracle: it steps
+//! every event through the per-event path, bypassing the chunked
+//! access loop that batching lives in, so it turns batching off too.
 //!
 //! [`next_daemon_wakeup`]: ../crates/vm-sim/src/machine.rs
 
@@ -29,16 +31,6 @@ fn parity_scale(no_ff: bool) -> Scale {
         ops: 1_200,
         no_ff,
         ..Scale::quick()
-    }
-}
-
-/// Same sizing, toggling hit-run batching instead of fast-forward
-/// (fast-forward stays on — batching only exists inside its chunked
-/// access loop, so this is the pair that isolates the batch path).
-fn batch_scale(no_batch: bool) -> Scale {
-    Scale {
-        no_batch,
-        ..parity_scale(false)
     }
 }
 
@@ -95,24 +87,18 @@ fn reused_vm_scenario_matches_faithful() {
 }
 
 #[test]
-fn collocated_pair_matches_faithful_and_no_batch() {
+fn collocated_pair_matches_faithful() {
     // Two VMs interleaved by virtual time on one host, daemon passes due
     // after every request: the fast-forward gate may skip passes, but
-    // both VMs' whole results must match the faithful schedule and the
-    // --no-batch leg.
+    // both VMs' whole results must match the faithful schedule.
     use gemini_harness::experiments::collocated;
     let pair = [("Redis", "SP.D")];
     let fast = collocated::run(&parity_scale(false), Some(&pair)).unwrap();
-    for (leg, scale) in [
-        ("no_ff", parity_scale(true)),
-        ("no_batch", batch_scale(true)),
-    ] {
-        let other = collocated::run(&scale, Some(&pair)).unwrap();
-        let pairs = fast.runs[0].iter().zip(&other.runs[0]);
-        for (sspec, (a, b)) in SystemKind::evaluated().iter().zip(pairs) {
-            for (vm, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_identical(&format!("{}/vm{vm}/{leg}", sspec.label()), x, y);
-            }
+    let faithful = collocated::run(&parity_scale(true), Some(&pair)).unwrap();
+    let pairs = fast.runs[0].iter().zip(&faithful.runs[0]);
+    for (sspec, (a, b)) in SystemKind::evaluated().iter().zip(pairs) {
+        for (vm, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_identical(&format!("{}/vm{vm}", sspec.label()), x, y);
         }
     }
 }
@@ -190,75 +176,20 @@ fn parity_holds_across_seeds_and_workloads() {
 }
 
 #[test]
-fn every_registry_scenario_matches_no_batch_clean_slate() {
-    let spec = spec_by_name("Redis").expect("Redis is in the catalog");
-    for (system, sspec) in REGISTRY {
-        let batched = run_workload_on(*system, &spec, &batch_scale(false), false, 7).unwrap();
-        let plain = run_workload_on(*system, &spec, &batch_scale(true), false, 7).unwrap();
-        assert_identical(sspec.label, &batched, &plain);
-        assert_eq!(batched.ops, 1_200, "{}: run truncated", sspec.label);
-    }
-}
-
-#[test]
-fn every_registry_scenario_matches_no_batch_fragmented() {
-    // Fragmented memory keeps base and huge entries mixed in the L1s,
-    // so batch windows keep opening and closing on promotions,
-    // demotions and shootdowns — the epoch-guard paths, not just the
-    // happy run.
-    let spec = spec_by_name("Canneal").expect("Canneal is in the catalog");
-    for (system, sspec) in REGISTRY {
-        let batched = run_workload_on(*system, &spec, &batch_scale(false), true, 11).unwrap();
-        let plain = run_workload_on(*system, &spec, &batch_scale(true), true, 11).unwrap();
-        assert_identical(sspec.label, &batched, &plain);
-    }
-}
-
-#[test]
-fn reused_vm_scenario_matches_no_batch() {
-    // The second workload starts on warm TLBs, so batching engages from
-    // the very first chunk instead of after a fill ramp.
-    let spec = spec_by_name("Xapian").expect("Xapian is in the catalog");
-    for (system, sspec) in REGISTRY.iter().filter(|(_, s)| s.evaluated) {
-        let batched = run_workload_reused(*system, &spec, &batch_scale(false), 13).unwrap();
-        let plain = run_workload_reused(*system, &spec, &batch_scale(true), 13).unwrap();
-        assert_identical(sspec.label, &batched, &plain);
-    }
-}
-
-#[test]
-fn fleet_host_matches_no_batch() {
-    // Lifecycle churn (VM arrivals/departures, clear_workload, host
-    // rebalancing) hammers the invalidation paths that bump the
-    // stability epoch; the fleet leg proves the guard composes with
-    // all of it.
-    use gemini_harness::experiments::fleet;
-    for &system in &fleet::SYSTEMS {
-        let batched = fleet::run_host(system, &batch_scale(false), 0).unwrap();
-        let plain = fleet::run_host(system, &batch_scale(true), 0).unwrap();
-        assert_eq!(
-            format!("{batched:?}"),
-            format!("{plain:?}"),
-            "fleet/{}: hit-run batching diverged across VM lifecycles",
-            system.label()
-        );
-    }
-}
-
-#[test]
 fn recorded_trace_replays_identically_with_batching_on_and_off() {
-    // Record once (batched), then replay the same trace through both
-    // batch settings: live, batched replay and --no-batch replay must
-    // agree byte-for-byte, so traces recorded before and after this PR
-    // stay interchangeable.
+    // Record once on the fast path, then replay the same trace with
+    // batching on (the fast path) and off (`no_ff`, the faithful path):
+    // live, batched replay and faithful replay must agree
+    // byte-for-byte, so a trace replays the same whichever path
+    // recorded or replays it.
     use gemini_workloads::TraceStream;
     let spec = spec_by_name("Canneal").expect("Canneal is in the catalog");
-    let live = run_workload_on(SystemKind::Gemini, &spec, &batch_scale(false), true, 17).unwrap();
+    let live = run_workload_on(SystemKind::Gemini, &spec, &parity_scale(false), true, 17).unwrap();
     let mut trace_bytes = Vec::new();
     let (recorded, events) = record_workload_on(
         SystemKind::Gemini,
         &spec,
-        &batch_scale(false),
+        &parity_scale(false),
         "quick",
         true,
         17,
@@ -267,15 +198,10 @@ fn recorded_trace_replays_identically_with_batching_on_and_off() {
     .unwrap();
     assert!(events > 0);
     assert_identical("record-tee", &recorded, &live);
-    for no_batch in [false, true] {
+    for no_ff in [false, true] {
         let mut stream = TraceStream::new(std::io::Cursor::new(trace_bytes.clone())).unwrap();
-        let replayed = replay_trace_on(
-            SystemKind::Gemini,
-            &mut stream,
-            &batch_scale(no_batch),
-            true,
-        )
-        .unwrap();
-        assert_identical(&format!("replay/no_batch={no_batch}"), &replayed, &live);
+        let replayed =
+            replay_trace_on(SystemKind::Gemini, &mut stream, &parity_scale(no_ff), true).unwrap();
+        assert_identical(&format!("replay/no_ff={no_ff}"), &replayed, &live);
     }
 }
