@@ -24,9 +24,9 @@ echo "== layer parity + golden byte-identity (GEMINI_JOBS=2) =="
 # worker counts.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test layer_parity
 
-echo "== fast-forward + batching parity (GEMINI_JOBS=2) =="
-# DESIGN.md §13, §14 and §16: every registry scenario on the fast path
-# (fast-forward + hit-run batching) vs --no-ff (faithful, no batching),
+echo "== fast-forward parity (GEMINI_JOBS=2) =="
+# DESIGN.md §13 and §14: every registry scenario on the fast path
+# (fast-forward + tight access loop) vs --no-ff (faithful, per event),
 # the reused-VM chain, the seed × workload sweep, a collocated pair,
 # the fleet lifecycle grid at jobs 1/2/4, and a recorded-trace replay
 # through both paths — all must produce byte-identical RunResults.
@@ -47,8 +47,8 @@ BIN=target/release/gemini-sim
 cargo build --release --offline -q -p gemini-harness --bin gemini-sim
 
 echo "== end-to-end fast-path parity (gemini-sim parity, GEMINI_JOBS=2) =="
-# The CLI parity mode runs the default (fast-forward + batching) and
-# --no-ff (faithful, no batching) paths back-to-back and diffs the results — a
+# The CLI parity mode runs the default (fast-forward) and --no-ff
+# (faithful, per event) paths back-to-back and diffs the results — a
 # user-facing smoke test on top of the ff_parity suite.
 GEMINI_JOBS=2 "$BIN" parity --workload Redis --scale quick --fragmented --jobs 2 > /dev/null
 echo "parity: default / --no-ff identical (registry + fleet hosts)"
@@ -86,10 +86,10 @@ echo "== span profiler (quick scale, trace_quick.json) =="
 
 echo "== profile smoke check (trace_quick.json) =="
 # The Perfetto trace must exist, be non-empty, look like a
-# Chrome-trace-event document, and carry the batch counter tracks.
+# Chrome-trace-event document, and carry the grid's cell spans.
 test -s trace_quick.json
 grep -q '"traceEvents"' trace_quick.json
-grep -q '"tlb.batched_hits"' trace_quick.json
+grep -q '"cat":"cell"' trace_quick.json
 echo "trace written to trace_quick.json ($(wc -c < trace_quick.json) bytes)"
 
 echo "CI gate passed."

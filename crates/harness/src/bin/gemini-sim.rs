@@ -57,7 +57,7 @@
 //! `profile` runs the fig. 3 grid under the span profiler and prints
 //! the merged per-phase self/cumulative wall-time table; with
 //! `--profile` it also writes the grid's Perfetto timeline (one track
-//! per worker, nested cell/phase spans, `tlb.batch_*` counter tracks).
+//! per worker, nested cell/phase spans).
 //! The simulator's benchmark is `perfbench/` (see its README).
 //!
 //! `trace` reruns one workload with full event tracing, metrics and
@@ -68,7 +68,7 @@ use gemini_harness::report::Table;
 use gemini_harness::runner::{
     record_workload_on, replay_trace_on, run_workload_on, run_workload_reused, run_workload_traced,
 };
-use gemini_harness::{effective_jobs, profile, run_cells_traced, trace, Scale};
+use gemini_harness::{effective_jobs, profile, run_cells_profiled, trace, Scale};
 use gemini_obs::{Profiler, Recorder, TraceConfig};
 use gemini_vm_sim::{RunResult, SystemKind};
 use gemini_workloads::{catalog, non_tlb_sensitive, spec_by_name, TraceHeader, TraceStream};
@@ -113,7 +113,7 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         command: args.first().cloned().ok_or("missing command")?,
         system: None,
         workload: None,
-        scale: Scale::demo(),
+        scale: Scale::bench(),
         scale_name: "demo".into(),
         scale_explicit: false,
         fragmented: false,
@@ -277,25 +277,28 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
         .into_iter()
         .map(|system| {
             let spec = spec.clone();
-            move || -> Result<(RunResult, Recorder), String> {
-                let run = if opts.reused {
-                    run_workload_reused(system, &spec, &opts.scale, opts.seed)
-                        .map(|r| (r, Recorder::off()))
-                } else {
-                    run_workload_traced(
-                        system,
-                        &spec,
-                        &opts.scale,
-                        opts.fragmented,
-                        opts.seed,
-                        &TraceConfig::off(),
-                    )
-                };
-                run.map_err(|e| format!("simulation failed: {e}"))
-            }
+            (
+                0,
+                move |_: &Profiler| -> Result<(RunResult, Recorder), String> {
+                    let run = if opts.reused {
+                        run_workload_reused(system, &spec, &opts.scale, opts.seed)
+                            .map(|r| (r, Recorder::off()))
+                    } else {
+                        run_workload_traced(
+                            system,
+                            &spec,
+                            &opts.scale,
+                            opts.fragmented,
+                            opts.seed,
+                            &TraceConfig::off(),
+                        )
+                    };
+                    run.map_err(|e| format!("simulation failed: {e}"))
+                },
+            )
         })
         .collect();
-    let results = run_cells_traced(opts.scale.jobs, &progress, cells);
+    let results = run_cells_profiled(opts.scale.jobs, &progress, &Profiler::off(), cells);
     let mut t = Table::new(
         format!("all systems on {name}{}", scenario_suffix(opts)),
         &headers(),
@@ -506,17 +509,17 @@ fn cmd_replay(opts: &Opts) -> Result<(), String> {
         .into_iter()
         .map(|system| {
             let path = path.clone();
-            move || -> Result<RunResult, String> {
+            (0, move |_: &Profiler| -> Result<RunResult, String> {
                 let f = std::fs::File::open(&path)
                     .map_err(|e| format!("opening {}: {e}", path.display()))?;
                 let mut stream = TraceStream::new(std::io::BufReader::new(f))
                     .map_err(|e| format!("{}: {e}", path.display()))?;
                 replay_trace_on(system, &mut stream, &scale, fragmented)
                     .map_err(|e| format!("replay failed: {e}"))
-            }
+            })
         })
         .collect();
-    let results = run_cells_traced(scale.jobs, &progress, cells);
+    let results = run_cells_profiled(scale.jobs, &progress, &Profiler::off(), cells);
     let mut t = Table::new(
         format!("all systems replaying {}", header.spec.name),
         &headers(),
@@ -540,14 +543,14 @@ fn cmd_replay(opts: &Opts) -> Result<(), String> {
 }
 
 /// Runs every registry scenario two ways — the default (fast-forward
-/// plus closed-form hit-run batching) and `--no-ff`, which steps every
-/// event through the faithful path and so batches nothing — and fails
-/// unless both results are byte-identical: the full `RunResult` (every
-/// MMU counter, alignment stat and latency figure) and the JSON export
-/// line must match exactly. This is the executable form of both
-/// fast-path invariants: eliding provably-quiescent daemon passes
-/// (DESIGN.md §12) and advancing provably hit-only access runs in
-/// closed form (DESIGN.md §16) may never change simulated state.
+/// and the tight access loop) and `--no-ff`, which steps every event
+/// through the faithful path — and fails unless both results are
+/// byte-identical: the full `RunResult` (every MMU counter, alignment
+/// stat and latency figure) and the JSON export line must match
+/// exactly. This is the executable form of the fast-path invariant:
+/// eliding provably-quiescent daemon passes and running resident
+/// touches through the tight loop (DESIGN.md §13) may never change
+/// simulated state.
 fn cmd_parity(opts: &Opts) -> Result<(), String> {
     let name = opts.workload.as_deref().unwrap_or("Redis");
     let spec = spec_by_name(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
@@ -560,20 +563,23 @@ fn cmd_parity(opts: &Opts) -> Result<(), String> {
         .iter()
         .map(|(system, sspec)| {
             let spec = spec.clone();
-            move || -> Result<(&'static str, bool), String> {
-                let run = |scale: &Scale| {
-                    run_workload_on(*system, &spec, scale, opts.fragmented, opts.seed)
-                        .map_err(|e| format!("{}: simulation failed: {e}", sspec.label))
-                };
-                let fast = run(&fast_scale)?;
-                let faithful = run(&faithful_scale)?;
-                let identical = format!("{fast:?}") == format!("{faithful:?}")
-                    && trace::result_json(&fast) == trace::result_json(&faithful);
-                Ok((sspec.label, identical))
-            }
+            (
+                0,
+                move |_: &Profiler| -> Result<(&'static str, bool), String> {
+                    let run = |scale: &Scale| {
+                        run_workload_on(*system, &spec, scale, opts.fragmented, opts.seed)
+                            .map_err(|e| format!("{}: simulation failed: {e}", sspec.label))
+                    };
+                    let fast = run(&fast_scale)?;
+                    let faithful = run(&faithful_scale)?;
+                    let identical = format!("{fast:?}") == format!("{faithful:?}")
+                        && trace::result_json(&fast) == trace::result_json(&faithful);
+                    Ok((sspec.label, identical))
+                },
+            )
         })
         .collect();
-    let results = run_cells_traced(opts.scale.jobs, &progress, cells);
+    let results = run_cells_profiled(opts.scale.jobs, &progress, &Profiler::off(), cells);
     let mut mismatched = Vec::new();
     for cell in results {
         let (label, identical) = cell?;

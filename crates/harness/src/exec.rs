@@ -44,56 +44,42 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    run_cells_traced(jobs, &Recorder::off(), cells)
-}
-
-/// Like [`run_cells`], but reports cell-level progress through `rec`:
-/// `exec.cells_submitted` counts cells enqueued, `exec.cells_finished`
-/// counts completions. Both are deterministic counts, so a traced
-/// parallel run exports the same registry as a sequential one.
-pub fn run_cells_traced<T, F>(jobs: usize, rec: &Recorder, cells: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_cells_hinted(jobs, rec, cells.into_iter().map(|c| (0, c)).collect())
-}
-
-/// Like [`run_cells_traced`], but each cell carries a deterministic
-/// *cost hint* and workers dispatch the most expensive pending cell
-/// first — LPT (longest-processing-time-first) list scheduling, which
-/// keeps one slow cell from landing last on an otherwise idle pool and
-/// stretching the grid's critical path.
-///
-/// Hints only reorder *dispatch*; results are still reassembled in
-/// submission order and the sequential path ignores hints entirely, so
-/// tables, JSON exports and traces stay byte-identical at any `jobs`
-/// for any hint assignment. Ties dispatch in submission order.
-pub fn run_cells_hinted<T, F>(jobs: usize, rec: &Recorder, cells: Vec<(u64, F)>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
     let cells = cells
         .into_iter()
-        .map(|(hint, cell)| (hint, move |_: &Profiler| cell()))
+        .map(|cell| (0, move |_: &Profiler| cell()))
         .collect();
-    run_cells_profiled(jobs, rec, &Profiler::off(), cells)
+    run_cells_profiled(jobs, &Recorder::off(), &Profiler::off(), cells)
 }
 
-/// Like [`run_cells_hinted`], but with per-worker span profiling: each
-/// worker records into its own [fork](Profiler::fork) of `prof`
-/// (tagged with the worker index, so captured span events land on
-/// per-worker trace tracks), every cell closure receives its worker's
-/// fork to thread into the machine it builds, and executor bookkeeping
-/// (queue pops, result stores) is attributed to [`Phase::Executor`].
-/// After the barrier the forks merge back into `prof` in worker-index
-/// order, so accumulated totals are reassembled deterministically.
+/// Like [`run_cells`], with three additions.
+///
+/// - Progress: `exec.cells_submitted` counts cells enqueued and
+///   `exec.cells_finished` counts completions through `rec`. Both are
+///   deterministic counts, so a traced parallel run exports the same
+///   registry as a sequential one.
+/// - Cost hints: each cell carries a deterministic hint and workers
+///   dispatch the most expensive pending cell first — LPT
+///   (longest-processing-time-first) list scheduling, which keeps one
+///   slow cell from landing last on an otherwise idle pool and
+///   stretching the grid's critical path. Hints only reorder
+///   *dispatch*; results are still reassembled in submission order and
+///   the sequential path ignores hints entirely, so tables, JSON
+///   exports and traces stay byte-identical at any `jobs` for any hint
+///   assignment. Ties dispatch in submission order; pass hint 0 for
+///   plain FIFO dispatch.
+/// - Span profiling: each worker records into its own
+///   [fork](Profiler::fork) of `prof` (tagged with the worker index, so
+///   captured span events land on per-worker trace tracks), every cell
+///   closure receives its worker's fork to thread into the machine it
+///   builds, and executor bookkeeping (queue pops, result stores) is
+///   attributed to [`Phase::Executor`]. After the barrier the forks
+///   merge back into `prof` in worker-index order, so accumulated
+///   totals are reassembled deterministically. Pass [`Profiler::off`]
+///   to profile nothing.
 ///
 /// The sequential path (`jobs <= 1`) runs every cell on one fork
 /// (worker 0), which is what makes jobs=1 traces reproducible under a
-/// deterministic clock. [`run_cells_hinted`] is this pool with the off
-/// profiler.
+/// deterministic clock.
 pub fn run_cells_profiled<T, F>(
     jobs: usize,
     rec: &Recorder,
@@ -194,8 +180,8 @@ mod tests {
     fn progress_counters_are_deterministic_across_jobs() {
         let registry_for = |jobs: usize| {
             let rec = Recorder::new(&gemini_obs::TraceConfig::all());
-            let cells: Vec<_> = (0..10u64).map(|i| move || i).collect();
-            run_cells_traced(jobs, &rec, cells);
+            let cells: Vec<_> = (0..10u64).map(|i| (0, move |_: &Profiler| i)).collect();
+            run_cells_profiled(jobs, &rec, &Profiler::off(), cells);
             rec.registry()
         };
         let seq = registry_for(1);
@@ -211,9 +197,10 @@ mod tests {
         // the result vector untouched at every jobs count.
         for jobs in [1, 2, 5] {
             for hint_of in [|_i: u64| 0u64, |i: u64| i % 7, |i: u64| 100 - i] {
-                let cells: Vec<(u64, _)> =
-                    (0..20u64).map(|i| (hint_of(i), move || i * 3)).collect();
-                let out = run_cells_hinted(jobs, &Recorder::off(), cells);
+                let cells: Vec<(u64, _)> = (0..20u64)
+                    .map(|i| (hint_of(i), move |_: &Profiler| i * 3))
+                    .collect();
+                let out = run_cells_profiled(jobs, &Recorder::off(), &Profiler::off(), cells);
                 assert_eq!(out, (0..20u64).map(|i| i * 3).collect::<Vec<_>>());
             }
         }
@@ -222,8 +209,8 @@ mod tests {
     #[test]
     fn hinted_progress_counters_match_plain_execution() {
         let rec = Recorder::new(&gemini_obs::TraceConfig::all());
-        let cells: Vec<(u64, _)> = (0..6u64).map(|i| (i, move || i)).collect();
-        run_cells_hinted(3, &rec, cells);
+        let cells: Vec<(u64, _)> = (0..6u64).map(|i| (i, move |_: &Profiler| i)).collect();
+        run_cells_profiled(3, &rec, &Profiler::off(), cells);
         assert_eq!(rec.registry().counter("exec.cells_submitted"), 6);
         assert_eq!(rec.registry().counter("exec.cells_finished"), 6);
     }

@@ -6,10 +6,11 @@
 //! figure: uncoordinated coalescing leaves well-aligned rates low and the
 //! effort largely wasted; Gemini aligns the majority.
 
-use crate::exec::run_cells_hinted;
+use crate::exec::run_cells_profiled;
 use crate::report::{fmt_pct, fmt_ratio, Table};
 use crate::runner::run_workload_on;
 use crate::scale::Scale;
+use gemini_obs::{Profiler, Recorder};
 use gemini_sim_core::Result;
 use gemini_vm_sim::{RunResult, SystemKind};
 use gemini_workloads::spec_by_name;
@@ -35,12 +36,13 @@ pub fn run(scale: &Scale) -> Result<MotivationResults> {
             let spec = spec.clone();
             // LPT dispatch: the hint steers which pending cell a worker
             // takes first; results reassemble in submission order.
-            cells.push((system.cost_hint(), move || {
+            cells.push((system.cost_hint(), move |_: &Profiler| {
                 run_workload_on(system, &spec, scale, true, seed)
             }));
         }
     }
-    let mut results = run_cells_hinted(scale.jobs, &gemini_obs::Recorder::off(), cells).into_iter();
+    let mut results =
+        run_cells_profiled(scale.jobs, &Recorder::off(), &Profiler::off(), cells).into_iter();
     let mut runs = Vec::new();
     for _ in WORKLOADS {
         let mut per_sys = Vec::new();

@@ -25,7 +25,7 @@ pub mod runner;
 pub mod scale;
 pub mod trace;
 
-pub use exec::{effective_jobs, run_cells, run_cells_profiled, run_cells_traced};
+pub use exec::{effective_jobs, run_cells, run_cells_profiled};
 pub use report::Table;
 pub use runner::{
     record_workload_on, replay_trace_on, run_workload_on, run_workload_profiled,

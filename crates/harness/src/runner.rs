@@ -47,13 +47,9 @@ pub fn run_workload_traced(
 
 /// Like [`run_workload_on`], but with phase-level span profiling: the
 /// whole cell (machine build, workload generation, event processing,
-/// daemons) records spans into `prof`. Also returns the machine's
-/// batching statistics ([`gemini_tlb::BatchStats`]): how many provably
-/// hit-only runs the closed-form fast path advanced, how many accesses
-/// rode them, and how often a run was declined or truncated. The
-/// `RunResult` is byte-identical to the unprofiled run — the profiler
-/// only observes wall-clock time, and batching observability lives
-/// outside the compared counters (DESIGN.md §16).
+/// daemons) records spans into `prof`. The `RunResult` is
+/// byte-identical to the unprofiled run — the profiler only observes
+/// wall-clock time.
 pub fn run_workload_profiled(
     system: SystemKind,
     spec: &WorkloadSpec,
@@ -61,14 +57,13 @@ pub fn run_workload_profiled(
     fragmented: bool,
     seed: u64,
     prof: Profiler,
-) -> Result<(RunResult, gemini_tlb::BatchStats)> {
+) -> Result<RunResult> {
     let mut cfg = scale.machine_config(fragmented, spec.zero_heavy, seed);
     cfg.profiler = prof;
     let mut machine = Machine::new(system, cfg);
     let vm = machine.add_vm()?;
     let gen = WorkloadGen::new(spec.scaled(scale.ws_factor), scale.ops, seed);
-    let result = machine.run(vm, gen)?;
-    Ok((result, machine.batch_stats()))
+    machine.run(vm, gen)
 }
 
 /// Like [`run_workload_on`], but *recording*: every event the live

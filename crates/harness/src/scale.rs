@@ -33,8 +33,8 @@ pub struct Scale {
     /// for every setting; this knob only trades wall-clock time.
     pub jobs: usize,
     /// Disables the event-driven fast-forward core (`--no-ff`): every
-    /// event steps through the faithful slow path and every batch
-    /// boundary runs a daemon pass, even when the pass is provably a
+    /// event steps through the faithful slow path and every scheduler
+    /// step runs a daemon pass, even when the pass is provably a
     /// no-op. Results are byte-identical with fast-forward on or off —
     /// this escape hatch exists so the parity suite (and a suspicious
     /// user) can prove that claim on any cell; it only costs wall time.
@@ -55,27 +55,12 @@ impl Scale {
         }
     }
 
-    /// Preset for the runnable examples: large and long enough for the
-    /// background daemons to visibly differentiate the systems, small
-    /// enough to finish in tens of seconds.
-    pub fn demo() -> Self {
-        // The calibrated regime (same sizing as `bench`): working sets
-        // and run lengths where the background daemons differentiate the
-        // systems the way the paper's figures do.
-        Self {
-            ws_factor: 0.25,
-            ops: 8_000,
-            host_frames: 1 << 18, // 1 GiB.
-            vm_frames: 1 << 17,   // 512 MiB.
-            seed: 42,
-            jobs: 0,
-            no_ff: false,
-        }
-    }
-
-    /// Default preset of [`Scale::from_env`] (the `figures` example):
-    /// large enough for the TLB regime to match the paper's, small
-    /// enough to sweep all grids in minutes.
+    /// The calibrated preset, named `bench` or `demo`: working sets and
+    /// run lengths where the background daemons differentiate the
+    /// systems the way the paper's figures do. The default of
+    /// [`Scale::from_env`] (the `figures` example) and of the CLI, and
+    /// the preset of the runnable examples; one cell finishes in
+    /// seconds, all grids in minutes.
     pub fn bench() -> Self {
         Self {
             ws_factor: 0.25,
@@ -101,12 +86,12 @@ impl Scale {
         }
     }
 
-    /// The preset called `name`: `quick`, `demo`, `bench` or `full`.
+    /// The preset called `name`: `quick`, `demo`, `bench` or `full`
+    /// (`demo` and `bench` name the same preset).
     pub fn by_name(name: &str) -> Option<Self> {
         match name {
             "quick" => Some(Self::quick()),
-            "demo" => Some(Self::demo()),
-            "bench" => Some(Self::bench()),
+            "demo" | "bench" => Some(Self::bench()),
             "full" => Some(Self::full()),
             _ => None,
         }
@@ -233,7 +218,7 @@ mod tests {
     fn scale_names_resolve_and_unknown_names_fall_back_to_bench() {
         for (name, preset) in [
             ("quick", Scale::quick()),
-            ("demo", Scale::demo()),
+            ("demo", Scale::bench()),
             ("bench", Scale::bench()),
             ("full", Scale::full()),
         ] {

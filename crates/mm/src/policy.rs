@@ -193,14 +193,14 @@ pub struct Effects {
     /// Foreground cycles to charge the faulting/stalled workload.
     pub cycles: Cycles,
     //
-    // Contract (DESIGN.md §16): the three invalidation fields below are
-    // the ONLY channel by which the mm layer changes TLB residency.
-    // The machine applies them through `MmuSim::invalidate_*` /
-    // `charge_shootdowns`, each of which bumps the TLB stability epoch
-    // that guards closed-form hit-run batching. A policy that mutated
-    // mappings without emitting the matching effect would not only skip
-    // the invalidation cost model — it would let a stale batch window
-    // survive a remap. Emit effects for every mapping change.
+    // Contract: the three invalidation fields below are the ONLY
+    // channel by which the mm layer changes TLB residency. The machine
+    // applies them through `MmuSim::invalidate_*` /
+    // `charge_shootdowns`. A policy that mutated mappings without
+    // emitting the matching effect would not only skip the
+    // invalidation cost model — it would leave stale TLB entries
+    // translating a remapped region. Emit effects for every mapping
+    // change.
     /// Guest-virtual 2 MiB regions whose TLB entries must be invalidated.
     pub gva_regions_invalidated: Vec<u64>,
     /// Guest-physical 2 MiB regions whose EPT mappings changed (nested-TLB

@@ -43,8 +43,5 @@ pub mod recorder;
 pub use event::{cat, Event, EventKind, Layer, PromoMode, SamplePoint};
 pub use json::{json_f64, json_str};
 pub use metrics::{Histogram, Registry};
-pub use profile::{
-    chrome_trace_json, chrome_trace_json_with_counters, Phase, ProfileReport, Profiler, Span,
-    TraceSpan,
-};
+pub use profile::{chrome_trace_json, Phase, ProfileReport, Profiler, Span, TraceSpan};
 pub use recorder::{Recorder, TraceConfig};

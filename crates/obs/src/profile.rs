@@ -64,10 +64,6 @@ pub enum Phase {
     /// Applying TLB invalidations and shootdown accounting to the MMU
     /// model.
     TlbShootdown,
-    /// Closed-form hit-run batching: advancing counters, cost and the
-    /// virtual clock over a provably hit-only access run without
-    /// touching the TLB set arrays (DESIGN.md §16).
-    BatchedAccess,
     /// Parallel-executor bookkeeping (queue pops, result stores) —
     /// everything a worker does that is not the cell itself.
     Executor,
@@ -75,7 +71,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 10] = [
         Phase::Setup,
         Phase::WorkloadGen,
         Phase::Access,
@@ -85,7 +81,6 @@ impl Phase {
         Phase::Promotion,
         Phase::Demotion,
         Phase::TlbShootdown,
-        Phase::BatchedAccess,
         Phase::Executor,
     ];
 
@@ -101,7 +96,6 @@ impl Phase {
             Phase::Promotion => "promotion",
             Phase::Demotion => "demotion",
             Phase::TlbShootdown => "tlb_shootdown",
-            Phase::BatchedAccess => "batched_access",
             Phase::Executor => "executor",
         }
     }
@@ -117,11 +111,7 @@ impl Phase {
     pub fn in_timeline(self) -> bool {
         !matches!(
             self,
-            Phase::FaultPath
-                | Phase::TlbShootdown
-                | Phase::Promotion
-                | Phase::Demotion
-                | Phase::BatchedAccess
+            Phase::FaultPath | Phase::TlbShootdown | Phase::Promotion | Phase::Demotion
         )
     }
 
@@ -493,13 +483,14 @@ impl From<&SpanEvent> for TraceSpan {
     }
 }
 
-/// Hard ceiling on phase rectangles in one rendered trace. A
-/// quick-scale grid records ~600k per-batch spans (~57 MB of JSON) —
-/// far more than a viewer can usefully render. Over the cap, the
-/// *widest* phase spans are kept (the ones visible at any practical
-/// zoom), cells and metadata always survive, and a `trace_capped`
-/// metadata row records the drop count so the truncation is never
-/// silent.
+/// Hard ceiling on phase rectangles in one rendered trace. A fig. 3
+/// grid records ~15k timeline phase spans at quick scale (~1.4 MB of
+/// JSON) and ~47k at demo scale (~4.4 MB); span counts grow with op
+/// count, and past the cap a trace holds more than a viewer can
+/// usefully render. Over the cap, the *widest* phase spans are kept
+/// (the ones visible at any practical zoom), cells and metadata always
+/// survive, and a `trace_capped` metadata row records the drop count
+/// so the truncation is never silent.
 pub const MAX_TIMELINE_EVENTS: usize = 50_000;
 
 /// Renders spans as a Chrome-trace-event JSON object (the
@@ -515,22 +506,6 @@ pub const MAX_TIMELINE_EVENTS: usize = 50_000;
 /// rows beyond [`MAX_TIMELINE_EVENTS`] are dropped widest-first-kept
 /// by the same deterministic ordering.
 pub fn chrome_trace_json(process_name: &str, workers: &[String], spans: &[TraceSpan]) -> String {
-    chrome_trace_json_with_counters(process_name, workers, spans, &[])
-}
-
-/// Like [`chrome_trace_json`], but additionally renders named counters
-/// as Chrome counter-track events (`"ph":"C"` at `ts` 0 on the
-/// metadata track), so run-level totals — e.g. the TLB's
-/// `tlb.batch_runs` / `tlb.batched_hits` / `tlb.batch_breaks` from the
-/// closed-form hit-run fast path — appear as labelled counter tracks
-/// next to the timeline in Perfetto. Counters are emitted in the order
-/// given; pass them pre-sorted for byte-stable output.
-pub fn chrome_trace_json_with_counters(
-    process_name: &str,
-    workers: &[String],
-    spans: &[TraceSpan],
-    counters: &[(String, u64)],
-) -> String {
     let mut sorted: Vec<&TraceSpan> = spans.iter().collect();
     let phase_count = sorted.iter().filter(|s| s.cat == "phase").count();
     let dropped = phase_count.saturating_sub(MAX_TIMELINE_EVENTS);
@@ -577,12 +552,6 @@ pub fn chrome_trace_json_with_counters(
             ",\n{{\"name\":\"trace_capped\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"kept\":{MAX_TIMELINE_EVENTS},\"dropped\":{dropped}}}}}",
         ));
     }
-    for (name, value) in counters {
-        out.push_str(&format!(
-            ",\n{{\"name\":{},\"ph\":\"C\",\"ts\":0,\"pid\":1,\"tid\":0,\"args\":{{\"value\":{value}}}}}",
-            json_str(name)
-        ));
-    }
     for s in sorted {
         out.push_str(&format!(
             ",\n{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
@@ -600,31 +569,6 @@ pub fn chrome_trace_json_with_counters(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_rows_render_as_chrome_counter_events() {
-        let spans = vec![TraceSpan {
-            name: "access".into(),
-            cat: "phase",
-            start_ns: 0,
-            dur_ns: 10,
-            tid: 0,
-        }];
-        let counters = vec![
-            ("tlb.batch_runs".to_string(), 12u64),
-            ("tlb.batched_hits".to_string(), 340u64),
-        ];
-        let workers = vec!["w".to_string()];
-        let json = chrome_trace_json_with_counters("p", &workers, &spans, &counters);
-        assert!(json.contains("\"name\":\"tlb.batch_runs\",\"ph\":\"C\""));
-        assert!(json.contains("\"name\":\"tlb.batched_hits\",\"ph\":\"C\""));
-        assert!(json.contains("\"args\":{\"value\":340}"));
-        // The plain exporter is exactly the zero-counter case.
-        assert_eq!(
-            chrome_trace_json("p", &workers, &spans),
-            chrome_trace_json_with_counters("p", &workers, &spans, &[])
-        );
-    }
 
     #[test]
     fn off_profiler_records_nothing() {

@@ -22,11 +22,7 @@ use gemini_sim_core::SimError;
 /// the way scan compares the low half first (page number bits — the
 /// discriminating ones) and confirms the high half only on a match,
 /// so the common probe touches half the bytes a `u128` scan would.
-///
-/// `PartialEq`/`Eq` compare the full slot arrays byte-for-byte (stale
-/// slots beyond the occupied prefixes included) — the deferred-stamp
-/// equivalence tests rely on that strictness.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SetAssocCache {
     /// Low 64 bits of each key; set `s` owns `lo[s*assoc..(s+1)*assoc]`
     /// and only its first `lens[s]` slots are meaningful.
@@ -120,23 +116,13 @@ impl SetAssocCache {
     }
 
     /// Looks `key` up; on hit, refreshes its LRU position and returns true.
-    ///
-    /// Deferred-stamp rule (DESIGN.md §16): when the hit slot already
-    /// holds the globally newest stamp, re-stamping it cannot change any
-    /// relative recency order — the entry is the cache-wide MRU and stays
-    /// so — hence the tick bump is skipped entirely. This makes `k`
-    /// consecutive hits on one resident key byte-identical to a single
-    /// hit (only the last touch matters under rotation LRU), which is the
-    /// invariant the closed-form hit-run batch path relies on.
     #[inline]
     pub fn lookup(&mut self, key: u128) -> bool {
         let (base, end) = self.set_range(self.set_of(key));
         match self.find(key, base, end) {
             Some(pos) => {
-                if self.stamps[pos] != self.tick {
-                    self.tick += 1;
-                    self.stamps[pos] = self.tick;
-                }
+                self.tick += 1;
+                self.stamps[pos] = self.tick;
                 true
             }
             None => false,
@@ -335,77 +321,6 @@ mod tests {
         assert!(!c.probe(1));
         for k in [3u128, 4, 5, 6] {
             assert!(c.probe(k), "key {k} should survive");
-        }
-    }
-
-    #[test]
-    fn repeated_hits_are_idempotent_after_first() {
-        // The deferred-stamp invariant in its most direct form: after the
-        // first hit the entry holds the newest stamp, so every further
-        // consecutive hit is a complete no-op on the cache state.
-        let mut c = SetAssocCache::new(8, 4).unwrap();
-        for k in 0..6u128 {
-            c.insert(k);
-        }
-        assert!(c.lookup(3));
-        let snapshot = c.clone();
-        for _ in 0..100 {
-            assert!(c.lookup(3));
-        }
-        assert_eq!(c, snapshot, "repeat hits must not perturb any state");
-        // A different key's hit breaks the run and must mutate again.
-        assert!(c.lookup(5));
-        assert_ne!(c, snapshot);
-    }
-
-    #[test]
-    fn deferred_stamp_is_byte_identical_to_per_access_stamps() {
-        // DetRng property test for the closed-form batching obligation:
-        // under random interleavings of hit runs, inserts, invalidates
-        // (single, bulk, flush), applying a run of k consecutive hits
-        // per-access must leave the cache byte-identical to applying one
-        // deferred hit for the whole run. `a` takes the per-access path,
-        // `b` the deferred path; full-struct Eq compares every slot,
-        // stamp, occupancy count and the tick.
-        use gemini_sim_core::{derive_seed, DetRng};
-        for trial in 0..16u64 {
-            let mut rng = DetRng::new(derive_seed(0xD5_7A_3B, "deferred-stamp", trial));
-            let mut a = SetAssocCache::new(16, 4).unwrap();
-            let mut b = SetAssocCache::new(16, 4).unwrap();
-            for _ in 0..1500 {
-                let key = u128::from(rng.below(48));
-                match rng.below(8) {
-                    0..=3 => {
-                        // A hit run of random length: per-access vs deferred.
-                        let k = 1 + rng.below(7);
-                        let mut hit_a = false;
-                        for _ in 0..k {
-                            hit_a = a.lookup(key);
-                        }
-                        let hit_b = b.lookup(key);
-                        assert_eq!(hit_a, hit_b, "hit/miss diverged for {key}");
-                    }
-                    4..=5 => {
-                        a.insert(key);
-                        b.insert(key);
-                    }
-                    6 => {
-                        assert_eq!(a.invalidate(key), b.invalidate(key));
-                    }
-                    _ => {
-                        if rng.below(8) == 0 {
-                            a.flush();
-                            b.flush();
-                        } else {
-                            let bit = rng.below(2);
-                            let ea = a.invalidate_matching(|k| k % 2 == u128::from(bit));
-                            let eb = b.invalidate_matching(|k| k % 2 == u128::from(bit));
-                            assert_eq!(ea, eb);
-                        }
-                    }
-                }
-                assert_eq!(a, b, "trial {trial}: state diverged");
-            }
         }
     }
 

@@ -8,12 +8,8 @@
 /// Monotonic counters accumulated by [`crate::MmuSim`].
 ///
 /// These are part of every run's compared output (results, goldens, the
-/// parity suites), so the closed-form hit-run batch path must advance
-/// them exactly as the faithful path would. Batching *observability*
-/// (how many runs took the fast path) therefore lives in
-/// [`crate::BatchStats`], not here: those numbers legitimately differ
-/// between a `--no-ff` leg (which batches nothing) and a batched leg and would break
-/// byte-identity if they were fields of this struct.
+/// parity suites), so the fast path must advance them exactly as the
+/// faithful `--no-ff` path would.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
     /// Total translated data accesses.

@@ -55,35 +55,21 @@ pub struct AccessOutcome {
 const SIZE_BASE: u128 = 0;
 const SIZE_HUGE: u128 = 1;
 
-/// Closed-form hit-run batching statistics.
+/// Retired hit-run batching statistics: always zero.
 ///
-/// Deliberately *not* part of [`PerfCounters`]: the batched and faithful
-/// paths must produce byte-identical `PerfCounters` (they are compared in
-/// the parity suites), while these fields observe the fast path itself
-/// and so necessarily differ between the two legs. They surface through
-/// the `tlb.batch_*` recorder counters and [`MmuSim::batch_stats`].
+/// Closed-form hit-run batching is gone (DESIGN.md §16), so every field
+/// is always zero. The only reader is perfbench, which cross-checks it
+/// (through `Machine::batch_stats`) against the recorder counters
+/// behind its three `tlb.batch_*` per-layer metrics; the benchmark
+/// change that drops those metrics deletes this stub.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Closed-form runs applied.
+    /// Always 0.
     pub runs: u64,
-    /// Accesses advanced in closed form (each run's leading access is
-    /// processed faithfully and not counted here).
+    /// Always 0.
     pub hits: u64,
-    /// Candidate runs that fell back to the faithful path (stability
-    /// epoch moved underneath the window) or were cut short by a
-    /// sampling/daemon deadline rather than ending naturally.
+    /// Always 0.
     pub breaks: u64,
-}
-
-impl BatchStats {
-    /// Sums two stat blocks; used when aggregating across VMs.
-    pub fn merged(self, other: BatchStats) -> BatchStats {
-        BatchStats {
-            runs: self.runs + other.runs,
-            hits: self.hits + other.hits,
-            breaks: self.breaks + other.breaks,
-        }
-    }
 }
 
 /// The simulated MMU for one physical core (shared by all VMs on it, with
@@ -104,15 +90,6 @@ pub struct MmuSim {
     /// for [`MmuSim::access_unresolved`], with no effect on simulated
     /// state.
     last_hit_huge: bool,
-    /// Stability epoch: bumped by every mutation that can change *which*
-    /// translations are resident (fills with their possible evictions,
-    /// invalidations, shootdowns, and external runtime/daemon passes via
-    /// [`MmuSim::note_external_pass`]). Pure lookups never bump it: a hit
-    /// cannot evict, so residency established while the epoch holds still
-    /// stands. [`MmuSim::advance_batched_hits`] refuses to run against a
-    /// stale epoch.
-    stability_epoch: u64,
-    batch: BatchStats,
     rec: Recorder,
     rec_vm: u32,
 }
@@ -148,8 +125,6 @@ impl MmuSim {
             ],
             counters: PerfCounters::new(),
             last_hit_huge: false,
-            stability_epoch: 0,
-            batch: BatchStats::default(),
             cfg,
             rec: Recorder::off(),
             rec_vm: 0,
@@ -166,81 +141,6 @@ impl MmuSim {
     /// Returns the accumulated performance counters.
     pub fn counters(&self) -> &PerfCounters {
         &self.counters
-    }
-
-    /// Current stability epoch. Residency observed at epoch `e` may be
-    /// assumed to still hold exactly while `stability_epoch() == e`.
-    #[inline]
-    pub fn stability_epoch(&self) -> u64 {
-        self.stability_epoch
-    }
-
-    /// Bumps the stability epoch for a mutation performed outside this
-    /// module — a daemon or runtime pass that may have promoted, demoted
-    /// or unmapped memory. Conservative over-bumping is always sound (it
-    /// only declines fast-path batches); a missed bump is not.
-    #[inline]
-    pub fn note_external_pass(&mut self) {
-        self.stability_epoch += 1;
-    }
-
-    /// Closed-form batching statistics accumulated so far.
-    pub fn batch_stats(&self) -> BatchStats {
-        self.batch
-    }
-
-    /// Records that a batch candidate was cut short by a deadline (the
-    /// caller's sampling or daemon boundary) rather than ending with the
-    /// access stream.
-    #[inline]
-    pub fn note_batch_break(&mut self) {
-        self.batch.breaks += 1;
-        self.rec.counter_add("tlb.batch_breaks", 1);
-    }
-
-    /// Advances `n` accesses that provably hit the resident L1 entry for
-    /// (`vm`, `gva_frame`) in closed form: counters, cycle cost and the
-    /// probe-order heuristic move exactly as `n` faithful L1 hits would,
-    /// but the set arrays are never touched.
-    ///
-    /// Soundness (DESIGN.md §16): the caller has just performed one
-    /// faithful access for this key, which left the entry resident in the
-    /// L1 array for `huge` *and* holding the newest stamp. Under the
-    /// deferred-stamp rule ([`SetAssocCache::lookup`]) each further
-    /// consecutive hit on the same key is a complete no-op on cache
-    /// state, and an L1 hit never fills or evicts — so the only faithful
-    /// effects are the counter and `last_hit_huge` updates reproduced
-    /// here. The claim holds only while no fill/invalidate intervened;
-    /// `epoch_at` (captured right after the leading access) proves that.
-    /// Returns `None` — and the caller must fall back to the faithful
-    /// path — if the epoch has moved.
-    pub fn advance_batched_hits(
-        &mut self,
-        vm: VmId,
-        gva_frame: u64,
-        huge: bool,
-        n: u64,
-        epoch_at: u64,
-    ) -> Option<Cycles> {
-        if self.stability_epoch != epoch_at {
-            self.note_batch_break();
-            return None;
-        }
-        // Debug cross-check: recompute residency from the set arrays —
-        // the entry the batch claims to hit must actually be there.
-        debug_assert!(
-            self.l1_of(huge).probe(Self::tlb_key(vm, gva_frame, huge)),
-            "batched key not L1-resident: vm={vm:?} gva_frame={gva_frame:#x} huge={huge}"
-        );
-        self.counters.accesses += n;
-        self.counters.l1_hits += n;
-        self.counters.translation_cycles += n * self.cfg.l1_hit_cycles;
-        self.last_hit_huge = huge;
-        self.batch.runs += 1;
-        self.batch.hits += n;
-        self.rec.counter_add("tlb.batch_runs", 1);
-        self.rec.counter_add("tlb.batched_hits", n);
-        Some(Cycles(n * self.cfg.l1_hit_cycles))
     }
 
     /// Attempts to satisfy one data access from the TLBs alone, probing
@@ -275,7 +175,6 @@ impl MmuSim {
                 self.counters.accesses += 1;
                 self.counters.stlb_hits += 1;
                 self.l1_of(huge_entry).insert(key);
-                self.stability_epoch += 1; // L1 fill may have evicted.
                 let cycles = self.cfg.l1_hit_cycles + self.cfg.stlb_hit_cycles;
                 self.counters.translation_cycles += cycles;
                 self.last_hit_huge = huge_entry;
@@ -337,7 +236,6 @@ impl MmuSim {
         if self.stlb.lookup(key) {
             self.counters.stlb_hits += 1;
             l1.insert(key);
-            self.stability_epoch += 1; // L1 fill may have evicted.
             let cycles = self.cfg.l1_hit_cycles + self.cfg.stlb_hit_cycles;
             self.counters.translation_cycles += cycles;
             return AccessOutcome {
@@ -391,9 +289,6 @@ impl MmuSim {
             &mut self.l1_4k
         };
         l1.insert(key);
-        // One bump covers the whole walk's fills (STLB, L1, and the
-        // nTLB/PWC inserts made above in `nested_walk`).
-        self.stability_epoch += 1;
 
         let cycles = self.cfg.l1_hit_cycles
             + self.cfg.walk_setup_cycles
@@ -517,7 +412,6 @@ impl MmuSim {
     /// Called on guest-side remaps (promotion, demotion, unmap). Returns
     /// the number of entries evicted.
     pub fn invalidate_gva_region(&mut self, vm: VmId, gva_huge_frame: u64) -> usize {
-        self.stability_epoch += 1;
         let pred = |key: u128| {
             let (kvm, size, page) = Self::decode_key(key);
             if kvm != vm.0 {
@@ -538,7 +432,6 @@ impl MmuSim {
     ///
     /// Returns the number of entries evicted.
     pub fn invalidate_vm(&mut self, vm: VmId) -> usize {
-        self.stability_epoch += 1;
         let pred = |key: u128| Self::decode_key(key).0 == vm.0;
         let mut n = self.l1_4k.invalidate_matching(pred);
         n += self.l1_2m.invalidate_matching(pred);
@@ -553,7 +446,6 @@ impl MmuSim {
     /// Invalidates nested-TLB entries for one guest-physical 2 MiB region,
     /// modeling a targeted EPT invalidation.
     pub fn invalidate_gpa_region(&mut self, vm: VmId, gpa_huge_frame: u64) -> usize {
-        self.stability_epoch += 1;
         let pred = |key: u128| {
             let (kvm, size, page) = Self::decode_key(key);
             if kvm != vm.0 {
@@ -571,7 +463,6 @@ impl MmuSim {
     pub fn charge_shootdowns(&mut self, n: u64, per_shootdown: Cycles) -> Cycles {
         self.counters.shootdowns += n;
         if n > 0 {
-            self.stability_epoch += 1;
             let vm = self.rec_vm;
             self.rec
                 .emit(cat::SHOOTDOWN, vm, Layer::Sys, || EventKind::Shootdown {
@@ -768,95 +659,6 @@ mod tests {
         let stall = mmu.charge_shootdowns(3, Cycles(4000));
         assert_eq!(stall, Cycles(12_000));
         assert_eq!(mmu.counters().shootdowns, 3);
-    }
-
-    #[test]
-    fn stability_epoch_tracks_residency_mutations_only() {
-        let mut mmu = MmuSim::new(MmuConfig::default()).unwrap();
-        let t = resolved(LeafSize::Base, LeafSize::Base, 42);
-        let e0 = mmu.stability_epoch();
-        mmu.access(VM, 7, t); // Cold walk: fills.
-        let e1 = mmu.stability_epoch();
-        assert!(e1 > e0, "a walk's fills must bump the epoch");
-        mmu.access(VM, 7, t); // Pure L1 hit: no fill, no eviction.
-        assert_eq!(
-            mmu.stability_epoch(),
-            e1,
-            "an L1 hit must not bump the epoch"
-        );
-        mmu.invalidate_gva_region(VM, 0);
-        let e2 = mmu.stability_epoch();
-        assert!(e2 > e1);
-        mmu.invalidate_vm(VM);
-        assert!(mmu.stability_epoch() > e2);
-        let e3 = mmu.stability_epoch();
-        mmu.invalidate_gpa_region(VM, 0);
-        assert!(mmu.stability_epoch() > e3);
-        let e4 = mmu.stability_epoch();
-        mmu.charge_shootdowns(0, Cycles(100)); // No rounds: no bump.
-        assert_eq!(mmu.stability_epoch(), e4);
-        mmu.charge_shootdowns(2, Cycles(100));
-        assert!(mmu.stability_epoch() > e4);
-        let e5 = mmu.stability_epoch();
-        mmu.note_external_pass();
-        assert!(mmu.stability_epoch() > e5);
-    }
-
-    #[test]
-    fn batched_hits_match_faithful_hits_exactly() {
-        // Faithful leg: k repeat accesses through the full probe path.
-        // Batched leg: one faithful access plus a closed-form advance of
-        // k-1. Counters and all subsequent behavior must be identical.
-        for huge in [false, true] {
-            let leaf = if huge { LeafSize::Huge } else { LeafSize::Base };
-            let t = resolved(leaf, leaf, 0x200);
-            let mut faithful = MmuSim::new(MmuConfig::default()).unwrap();
-            let mut batched = MmuSim::new(MmuConfig::default()).unwrap();
-            let gva = 0x200u64;
-            let k = 9u64;
-
-            let mut acc_f = Cycles::ZERO;
-            faithful.access(VM, gva, t);
-            for _ in 0..k {
-                acc_f += faithful.access_unresolved(VM, gva).unwrap().cycles;
-            }
-
-            batched.access(VM, gva, t);
-            let epoch = batched.stability_epoch();
-            let acc_b = batched
-                .advance_batched_hits(VM, gva, huge, k, epoch)
-                .expect("epoch unchanged, batch must engage");
-
-            assert_eq!(acc_f, acc_b, "cycle cost diverged (huge={huge})");
-            assert_eq!(
-                faithful.counters(),
-                batched.counters(),
-                "counters diverged (huge={huge})"
-            );
-            assert_eq!(batched.batch_stats().runs, 1);
-            assert_eq!(batched.batch_stats().hits, k);
-            // Same future: drive both through an identical tail.
-            for f in [gva, gva + 1, 0x999u64] {
-                let a = faithful.access_unresolved(VM, f);
-                let b = batched.access_unresolved(VM, f);
-                assert_eq!(a, b, "tail access diverged at {f:#x}");
-            }
-            assert_eq!(faithful.counters(), batched.counters());
-        }
-    }
-
-    #[test]
-    fn stale_epoch_declines_the_batch() {
-        let mut mmu = MmuSim::new(MmuConfig::default()).unwrap();
-        let t = resolved(LeafSize::Base, LeafSize::Base, 5);
-        mmu.access(VM, 5, t);
-        let epoch = mmu.stability_epoch();
-        mmu.note_external_pass(); // Daemon pass intervened.
-        let before = *mmu.counters();
-        assert_eq!(mmu.advance_batched_hits(VM, 5, false, 4, epoch), None);
-        assert_eq!(*mmu.counters(), before, "a declined batch must not count");
-        assert_eq!(mmu.batch_stats().breaks, 1);
-        assert_eq!(mmu.batch_stats().runs, 0);
     }
 
     #[test]

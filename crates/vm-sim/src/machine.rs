@@ -9,7 +9,7 @@ use gemini_sim_core::page::PageSize;
 use gemini_sim_core::stats::LatencySamples;
 use gemini_sim_core::{Cycles, DetRng, FxHashMap, Result, SimError, VmId, HUGE_PAGE_ORDER};
 use gemini_tlb::{BatchStats, MmuConfig, MmuSim, PerfCounters, ResolvedTranslation};
-use gemini_workloads::{touch_run_len, EventStream, WorkloadEvent};
+use gemini_workloads::{EventStream, WorkloadEvent};
 use std::collections::BTreeMap;
 
 /// Configuration of the simulated machine.
@@ -72,10 +72,10 @@ pub struct MachineConfig {
     pub profiler: Profiler,
     /// Disables the fast-forward core (the `--no-ff` escape hatch):
     /// every event steps through the faithful per-event path and a
-    /// daemon pass runs after every batch, even when provably a no-op.
-    /// Simulated results are byte-identical either way — fast-forward
-    /// only elides work it can prove has no effect — so this exists for
-    /// parity checks and debugging, not correctness.
+    /// daemon pass runs after every scheduler step, even when provably
+    /// a no-op. Simulated results are byte-identical either way —
+    /// fast-forward only elides work it can prove has no effect — so
+    /// this exists for parity checks and debugging, not correctness.
     pub no_ff: bool,
 }
 
@@ -431,17 +431,10 @@ impl Machine {
         Ok(*vs.mmu.counters())
     }
 
-    /// Closed-form batching statistics summed over all live VMs.
-    ///
-    /// Not part of [`RunResult`] on purpose: the batched default and the
-    /// `--no-ff` leg (which batches nothing) must stay byte-identical on
-    /// every compared surface, and these
-    /// numbers describe the fast path itself (see
-    /// [`gemini_tlb::BatchStats`]).
+    /// Always zero: hit-run batching is gone. Kept only for perfbench's
+    /// `tlb.batch_*` metrics (see [`BatchStats`]).
     pub fn batch_stats(&self) -> BatchStats {
-        self.vms.values().fold(BatchStats::default(), |acc, vs| {
-            acc.merged(vs.mmu.batch_stats())
-        })
+        BatchStats::default()
     }
 
     /// Runs a whole workload to completion in `vm`.
@@ -620,7 +613,7 @@ impl Machine {
     /// prove fault-free and telemetry-free (a missing translation, a
     /// sampled touch, an alloc/free/end-of-request) falls back to
     /// [`Self::process_event`], so the state trajectory is identical to
-    /// the unbatched path.
+    /// the per-event `--no-ff` path.
     fn process_chunk(
         &mut self,
         vm: VmId,
@@ -692,63 +685,6 @@ impl Machine {
                     touched += 1;
                     until_sample -= 1;
                     i += 1;
-                    // Closed-form hit-run batching (DESIGN.md §16): the
-                    // access above left this translation L1-resident and
-                    // holding the newest stamp, so immediately following
-                    // touches that provably resolve to the same entry —
-                    // same chunk, same page for a 4 KiB entry, same
-                    // 2 MiB region for a huge entry — are pure hits
-                    // whose only faithful effects are the counter, cost
-                    // and clock updates. Advance those in closed form
-                    // without re-probing the set arrays. The lookahead
-                    // is capped one past the sampled-touch deadline (the
-                    // overhang only detects deadline truncation), and
-                    // the 64-event chunk boundary — where daemon
-                    // deadlines are re-checked — bounds `events`.
-                    if until_sample > 1 {
-                        let window = &events[i..(i + until_sample as usize + 1).min(events.len())];
-                        let run = if out.huge_entry {
-                            let region = gva_frame >> HUGE_PAGE_ORDER;
-                            touch_run_len(window, chunk, |p| {
-                                (start_frame + p) >> HUGE_PAGE_ORDER == region
-                            })
-                        } else {
-                            touch_run_len(window, chunk, |p| start_frame + p == gva_frame)
-                        } as u64;
-                        let n = run.min(until_sample);
-                        // A length-1 "run" saves nothing: the faithful
-                        // loop resolves it in one L1 probe, so the
-                        // closed form would be pure bookkeeping
-                        // overhead. Only runs that elide at least two
-                        // per-access round-trips take the fast path
-                        // (byte-identical either way — the threshold
-                        // only moves wall-clock).
-                        if n >= 2 {
-                            // Read the epoch only once a qualifying run
-                            // exists: nothing between the faithful
-                            // access above and the advance below can
-                            // mutate the MMU, so the guard stays sound
-                            // while the common no-run case skips the
-                            // call entirely.
-                            let epoch = vs.mmu.stability_epoch();
-                            let _batch = self.prof.span(Phase::BatchedAccess);
-                            if let Some(cost) =
-                                vs.mmu
-                                    .advance_batched_hits(vm, gva_frame, out.huge_entry, n, epoch)
-                            {
-                                acc += cost + Cycles(n * data_access.0);
-                                touched += n;
-                                until_sample -= n;
-                                i += n as usize;
-                                if run > n {
-                                    // The run was cut by the sampling
-                                    // deadline, not by the stream: the
-                                    // next touch takes the slow path.
-                                    vs.mmu.note_batch_break();
-                                }
-                            }
-                        }
-                    }
                 }
                 vs.clock += acc;
                 ctx.req_acc += acc;
@@ -1003,11 +939,7 @@ impl Machine {
     /// counters. Returns the foreground cycle cost.
     ///
     /// This is the single funnel from mm-layer `Effects` into the MMU:
-    /// every `invalidate_*` / `charge_shootdowns` call below bumps the
-    /// TLB stability epoch, so any effect application automatically
-    /// closes open hit-run batch windows (DESIGN.md §16). Audited for
-    /// PR 10: no other call site outside `MmuSim` itself mutates TLB
-    /// residency.
+    /// no other call site outside `MmuSim` itself mutates TLB residency.
     fn apply_fx(vm: VmId, vs: &mut VmState, fx: Effects, prof: &Profiler) -> Cycles {
         vs.clock += fx.cycles;
         let _shootdown_span = if fx.gva_regions_invalidated.is_empty()
@@ -1110,15 +1042,6 @@ impl Machine {
             self.next_host_tenant = now + self.cfg.tenant_period;
         }
         self.tick_runtime(vm);
-        // The daemons and the runtime may have promoted, demoted,
-        // unmapped or compacted underneath the TLBs. Their invalidation
-        // effects each bump the stability epoch already, but a pass is
-        // rare enough to over-bump conservatively: a missed bump would
-        // be unsound, an extra one only declines a fast-path batch
-        // (DESIGN.md §16).
-        if let Some(vs) = self.vms.get_mut(&vm) {
-            vs.mmu.note_external_pass();
-        }
         self.take_sample(vm);
         Ok(())
     }
@@ -1196,21 +1119,13 @@ impl Machine {
         let alignment = alignment_stats(vs.guest.table(), self.host.ept(vm)?);
         // A clock behind its run-start value is a simulator bug (vtime
         // would silently saturate to zero); fail loudly with the pair.
-        let vtime = vs.clock.checked_sub(ctx.clock_at_start).ok_or_else(|| {
-            debug_assert!(
-                false,
-                "VM {} clock went backwards: now {} < start {}",
-                vm.0, vs.clock, ctx.clock_at_start
-            );
-            eprintln!(
-                "error: VM {} clock went backwards: now {} < start {}",
-                vm.0, vs.clock, ctx.clock_at_start
-            );
-            SimError::ClockRegression {
+        let vtime = vs
+            .clock
+            .checked_sub(ctx.clock_at_start)
+            .ok_or(SimError::ClockRegression {
                 now: vs.clock,
                 start: ctx.clock_at_start,
-            }
-        })?;
+            })?;
         Ok(RunResult {
             system: self.scenario.label,
             workload,
@@ -1473,23 +1388,17 @@ mod tests {
     }
 
     #[test]
-    fn hit_run_batching_is_byte_identical_and_engages() {
-        // The closed-form batch path must leave every compared surface
-        // of the result identical to the faithful `no_ff` path (which
-        // steps event by event and never batches), while
-        // actually advancing a meaningful share of accesses in closed
-        // form on a sequential workload (long same-region runs).
-        // Streamcluster under THP: huge entries from the start, so the
-        // sequential sweep produces long same-region hit runs and the
-        // fast path must engage. Canneal under fragmented Gemini:
-        // mostly-base entries whose runs are nearly all length 1, which
-        // the >= 2 threshold deliberately leaves to the faithful loop —
-        // parity must hold whether or not anything batches.
+    fn tight_loop_is_byte_identical_to_no_ff() {
+        // The chunked tight loop must leave every compared surface of
+        // the result identical to the faithful `no_ff` path, which steps
+        // event by event. Streamcluster under THP streams through
+        // resident huge entries (long same-region hit runs); Canneal
+        // under fragmented Gemini is mostly base entries and walks.
         let cases = [
-            ("Streamcluster", SystemKind::Thp, None, true),
-            ("Canneal", SystemKind::Gemini, Some(0.5), false),
+            ("Streamcluster", SystemKind::Thp, None),
+            ("Canneal", SystemKind::Gemini, Some(0.5)),
         ];
-        for (wl, system, frag, expect_engagement) in cases {
+        for (wl, system, frag) in cases {
             let spec = spec_by_name(wl)
                 .expect("catalog workload")
                 .scaled(1.0 / 32.0);
@@ -1502,28 +1411,13 @@ mod tests {
                 let mut m = Machine::new(system, cfg);
                 let vm = m.add_vm().unwrap();
                 let r = m.run(vm, WorkloadGen::new(spec.clone(), 800, 11)).unwrap();
-                (format!("{r:?}"), m.batch_stats())
+                format!("{r:?}")
             };
-            let (batched, stats) = run(false);
-            let (faithful, off_stats) = run(true);
-            assert_eq!(batched, faithful, "{wl}: batching changed the result");
             assert_eq!(
-                off_stats,
-                gemini_tlb::BatchStats::default(),
-                "{wl}: --no-ff must keep the fast path cold"
+                run(false),
+                run(true),
+                "{wl}: the tight loop changed the result"
             );
-            // Every taken run elides at least two accesses.
-            assert!(
-                stats.hits >= 2 * stats.runs,
-                "{wl}: a taken run below the >= 2 threshold leaked \
-                 through: {stats:?}"
-            );
-            if expect_engagement {
-                assert!(
-                    stats.runs > 0,
-                    "{wl}: the fast path never engaged: {stats:?}"
-                );
-            }
         }
     }
 

@@ -74,32 +74,6 @@ impl PregenStream {
     }
 }
 
-/// Length of the longest prefix of `events` consisting of `Touch` events
-/// on `chunk` whose page index satisfies `same_key`.
-///
-/// This is the lookahead primitive behind closed-form hit-run batching
-/// (DESIGN.md §16): the caller has just translated one touch and asks
-/// how many of the immediately following events provably resolve to the
-/// same TLB entry — same chunk, and `same_key(page)` capturing the
-/// entry's granularity (exact page for a 4 KiB entry, same 2 MiB region
-/// for a huge entry). Any non-`Touch` event, any other chunk, or the
-/// first key mismatch ends the run; the caller falls back to the
-/// faithful per-event path there.
-pub fn touch_run_len(
-    events: &[WorkloadEvent],
-    chunk: usize,
-    mut same_key: impl FnMut(u64) -> bool,
-) -> usize {
-    let mut n = 0;
-    for ev in events {
-        match *ev {
-            WorkloadEvent::Touch { chunk: c, page } if c == chunk && same_key(page) => n += 1,
-            _ => break,
-        }
-    }
-    n
-}
-
 impl EventStream for PregenStream {
     fn spec(&self) -> &WorkloadSpec {
         &self.spec
@@ -520,27 +494,5 @@ mod tests {
                 last = Some(page);
             }
         }
-    }
-
-    #[test]
-    fn touch_run_len_stops_at_key_chunk_and_event_boundaries() {
-        use WorkloadEvent::{EndRequest, Touch};
-        let evs = [
-            Touch { chunk: 0, page: 8 },
-            Touch { chunk: 0, page: 9 },
-            Touch { chunk: 0, page: 8 },
-            Touch { chunk: 1, page: 8 }, // Other chunk ends the run.
-            Touch { chunk: 0, page: 8 },
-        ];
-        // Huge-style key: same 16-page region.
-        assert_eq!(touch_run_len(&evs, 0, |p| p / 16 == 0), 3);
-        // Base-style key: exact page.
-        assert_eq!(touch_run_len(&evs, 0, |p| p == 8), 1);
-        // Wrong chunk from the start.
-        assert_eq!(touch_run_len(&evs, 2, |_| true), 0);
-        // A non-touch event ends the run immediately.
-        let evs2 = [EndRequest { cpu: 10 }, Touch { chunk: 0, page: 8 }];
-        assert_eq!(touch_run_len(&evs2, 0, |_| true), 0);
-        assert_eq!(touch_run_len(&[], 0, |_| true), 0);
     }
 }

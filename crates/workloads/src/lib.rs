@@ -31,7 +31,7 @@ pub mod spec;
 pub mod trace;
 
 pub use fleet::{FleetPlan, FleetSpec, HostPlan, VmPlan};
-pub use gen::{touch_run_len, EventStream, PregenStream, WorkloadEvent, WorkloadGen};
+pub use gen::{EventStream, PregenStream, WorkloadEvent, WorkloadGen};
 pub use microbench::MicrobenchGen;
 pub use spec::{catalog, non_tlb_sensitive, spec_by_name, AccessSkew, AllocPattern, WorkloadSpec};
 pub use trace::{TeeStream, TraceHeader, TraceStream, TraceWriter, TRACE_FORMAT, TRACE_VERSION};

@@ -13,7 +13,7 @@ use gemini_harness::experiments::collocated;
 use gemini_harness::Scale;
 
 fn main() {
-    let scale = Scale::demo();
+    let scale = Scale::bench();
     let res = collocated::run(&scale, Some(&[("Masstree", "Shore")])).expect("runs succeed");
     print!("{}", res.render_fig17());
     print!("{}", res.render_fig18());

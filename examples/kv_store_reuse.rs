@@ -40,7 +40,7 @@ fn run_reuse(system: SystemKind, scale: &Scale) -> (f64, u64, f64, f64) {
 }
 
 fn main() {
-    let scale = Scale::demo();
+    let scale = Scale::bench();
     println!("Reused-VM scenario: SVM (~large WS) runs, exits, Redis follows.\n");
     println!(
         "{:<14} {:>12} {:>12} {:>14} {:>14}",

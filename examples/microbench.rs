@@ -14,7 +14,7 @@ use gemini_harness::experiments::fig02;
 use gemini_harness::Scale;
 
 fn main() {
-    let scale = Scale::demo();
+    let scale = Scale::bench();
     let results = fig02::run(&scale).expect("sweep succeeds");
     print!("{}", results.render());
     println!(

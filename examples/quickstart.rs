@@ -11,7 +11,7 @@ use gemini_vm_sim::SystemKind;
 use gemini_workloads::spec_by_name;
 
 fn main() {
-    let scale = Scale::demo();
+    let scale = Scale::bench();
     let spec = spec_by_name("Masstree").expect("Masstree is in the catalog");
     println!(
         "Running {} (working set {} MiB scaled) on fragmented memory...\n",

@@ -1,18 +1,15 @@
-//! Fast-path parity suite (DESIGN.md §13, §14 and §16).
+//! Fast-path parity suite (DESIGN.md §13 and §14).
 //!
 //! The fast-forward core elides daemon passes that are provably no-ops
 //! (every deadline in [`next_daemon_wakeup`] lies in the future) and
-//! runs resident touches through a tight loop; closed-form hit-run
-//! batching additionally advances counters, cost and the virtual clock
-//! over provably hit-only access runs without touching the TLB arrays.
-//! Neither shortcut is allowed to change *any* simulated state: this
-//! suite runs every scenario in the registry with the fast paths on
-//! and off — same DetRng-derived seeds, same workload stream — and
-//! requires the full `RunResult` (every MMU counter, alignment stat,
-//! latency figure and fragmentation index) to be byte-identical
-//! between the paths. `no_ff` is the one faithful oracle: it steps
-//! every event through the per-event path, bypassing the chunked
-//! access loop that batching lives in, so it turns batching off too.
+//! runs resident touches through a tight loop. Neither shortcut is
+//! allowed to change *any* simulated state: this suite runs every
+//! scenario in the registry with the fast paths on and off — same
+//! DetRng-derived seeds, same workload stream — and requires the full
+//! `RunResult` (every MMU counter, alignment stat, latency figure and
+//! fragmentation index) to be byte-identical between the paths.
+//! `no_ff` is the one faithful oracle: it steps every event through
+//! the per-event path, bypassing the chunked tight loop.
 //!
 //! [`next_daemon_wakeup`]: ../crates/vm-sim/src/machine.rs
 
@@ -107,7 +104,7 @@ fn collocated_pair_matches_faithful() {
 fn fleet_host_matches_faithful() {
     // The fleet driver caches one daemon wakeup per resident VM and
     // fast-forwards between lifecycle events; with `--no-ff` it runs a
-    // daemon pass after every request batch instead. The whole
+    // daemon pass after every request instead. The whole
     // `HostRun` — every per-VM result, churn counter, end-state figure
     // and sampled series point — must be byte-identical either way.
     use gemini_harness::experiments::fleet;
@@ -176,12 +173,11 @@ fn parity_holds_across_seeds_and_workloads() {
 }
 
 #[test]
-fn recorded_trace_replays_identically_with_batching_on_and_off() {
-    // Record once on the fast path, then replay the same trace with
-    // batching on (the fast path) and off (`no_ff`, the faithful path):
-    // live, batched replay and faithful replay must agree
-    // byte-for-byte, so a trace replays the same whichever path
-    // recorded or replays it.
+fn recorded_trace_replays_identically_fast_path_vs_no_ff() {
+    // Record once on the fast path, then replay the same trace on the
+    // fast path and on the faithful `no_ff` path: live, fast replay and
+    // faithful replay must agree byte-for-byte, so a trace replays the
+    // same whichever path recorded or replays it.
     use gemini_workloads::TraceStream;
     let spec = spec_by_name("Canneal").expect("Canneal is in the catalog");
     let live = run_workload_on(SystemKind::Gemini, &spec, &parity_scale(false), true, 17).unwrap();

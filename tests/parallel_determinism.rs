@@ -6,8 +6,8 @@
 //! finished.
 
 use gemini_harness::experiments::{clean_slate, motivation, reused_vm};
-use gemini_harness::{run_cells_traced, trace, Scale};
-use gemini_obs::{Recorder, TraceConfig};
+use gemini_harness::{run_cells_profiled, trace, Scale};
+use gemini_obs::{Profiler, Recorder, TraceConfig};
 use gemini_vm_sim::{Machine, MachineConfig, SystemKind};
 
 fn scale_with_jobs(jobs: usize) -> Scale {
@@ -126,15 +126,15 @@ fn merged_recorders_are_deterministic_across_jobs() {
         let master = Recorder::new(&TraceConfig::all());
         let cells: Vec<_> = (0..6u64)
             .map(|i| {
-                move || {
+                (0, move |_: &Profiler| {
                     let rec = Recorder::new(&TraceConfig::all());
                     rec.counter_add("cell.index_sum", i);
                     rec.counter_add("cell.runs", 1);
                     rec
-                }
+                })
             })
             .collect();
-        for rec in run_cells_traced(jobs, &master, cells) {
+        for rec in run_cells_profiled(jobs, &master, &Profiler::off(), cells) {
             master.merge_from(&rec);
         }
         master.registry().to_json_lines().join("\n")

@@ -15,24 +15,16 @@ fn tiny_scale() -> Scale {
     }
 }
 
-/// Collects `(name, tid)` of thread-name metadata rows, the `X`
-/// complete events as `(name, cat, tid, ts, dur)` tuples, and the `C`
-/// counter events as `(name, value)` pairs.
+/// Collects `(name, tid)` of thread-name metadata rows and the `X`
+/// complete events as `(name, cat, tid, ts, dur)` tuples.
 #[allow(clippy::type_complexity)]
-fn split_trace(
-    doc: &Value,
-) -> (
-    Vec<(String, u64)>,
-    Vec<(String, String, u64, f64, f64)>,
-    Vec<(String, f64)>,
-) {
+fn split_trace(doc: &Value) -> (Vec<(String, u64)>, Vec<(String, String, u64, f64, f64)>) {
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_arr)
         .expect("traceEvents array");
     let mut tracks = Vec::new();
     let mut spans = Vec::new();
-    let mut counters = Vec::new();
     for ev in events {
         let ph = ev.get("ph").and_then(Value::as_str).expect("ph field");
         match ph {
@@ -62,20 +54,10 @@ fn split_trace(
                 ev.get("ts").and_then(Value::as_f64).expect("ts"),
                 ev.get("dur").and_then(Value::as_f64).expect("dur"),
             )),
-            "C" => counters.push((
-                ev.get("name")
-                    .and_then(Value::as_str)
-                    .expect("name")
-                    .to_string(),
-                ev.get("args")
-                    .and_then(|a| a.get("value"))
-                    .and_then(Value::as_f64)
-                    .expect("counter value"),
-            )),
             other => panic!("unexpected event phase {other:?}"),
         }
     }
-    (tracks, spans, counters)
+    (tracks, spans)
 }
 
 #[test]
@@ -83,29 +65,13 @@ fn grid_trace_has_worker_tracks_with_nested_cell_and_phase_spans() {
     let prof = Profiler::wall(true);
     let json = grid_trace(&tiny_scale(), 2, &prof).expect("profiled grid runs");
     let doc = parse(&json).expect("trace is valid JSON");
-    let (tracks, spans, counters) = split_trace(&doc);
+    let (tracks, spans) = split_trace(&doc);
 
     // Two workers requested, two labelled tracks with stable ids.
     assert_eq!(
         tracks,
         vec![("worker-0".to_string(), 0), ("worker-1".to_string(), 1)]
     );
-
-    // Grid-total batch engagement rides along as counter tracks, and
-    // at least one cell of the fig. 3 grid batches something even at
-    // tiny scale (the aligned-system Streamcluster cells stream
-    // through resident huge entries).
-    let names: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(
-        names,
-        vec!["tlb.batch_breaks", "tlb.batch_runs", "tlb.batched_hits"]
-    );
-    let hits = counters
-        .iter()
-        .find(|(n, _)| n == "tlb.batched_hits")
-        .map(|&(_, v)| v)
-        .unwrap();
-    assert!(hits > 0.0, "grid trace recorded no batched hits");
 
     let cells: Vec<_> = spans.iter().filter(|s| s.1 == "cell").collect();
     let phases: Vec<_> = spans.iter().filter(|s| s.1 == "phase").collect();
@@ -193,10 +159,7 @@ fn profile_subcommand_writes_a_perfetto_trace() {
     std::fs::remove_file(&path).ok();
     let doc = parse(&json).expect("trace is valid JSON");
     assert!(doc.get("traceEvents").and_then(Value::as_arr).is_some());
-    assert!(
-        json.contains("\"tlb.batched_hits\""),
-        "batch counter tracks"
-    );
+    assert!(json.contains("\"cat\":\"cell\""), "cell spans");
 }
 
 /// Records a fixed span pattern on `prof`; patterns differ per stream id.
